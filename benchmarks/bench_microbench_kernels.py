@@ -3,8 +3,8 @@
 Unlike the exhibit benches (which assert *modeled* shapes), these time the
 actual numpy implementations that every experiment runs on: the prime-field
 GEMM in both backends (the generic chunked oracle vs the limb-decomposed
-BLAS path) against plain float matmul, the encode/decode primitives at a
-realistic layer size, Vandermonde/elimination coefficient generation, and
+BLAS path) against plain float matmul, the encode/decode primitives and
+the integrity check at a realistic layer size, Vandermonde/elimination coefficient generation, and
 the batched conv-as-GEMM lowering.  Useful for regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
@@ -26,6 +26,7 @@ from repro.masking import (
     CoefficientSet,
     ForwardDecoder,
     ForwardEncoder,
+    IntegrityVerifier,
     reference_aggregate,
 )
 from repro.nn.functional import conv2d_via_matmul
@@ -144,6 +145,20 @@ def test_backward_decode_many_speed(benchmark, backend):
     assert decoded.shape == (16, 64, 64)
     loop = np.stack([decoder.decode(eq) for eq in equations])
     assert np.array_equal(decoded, loop)
+
+
+def test_integrity_verify_forward_speed(benchmark):
+    """Honest-path verification: one parity-check GEMM, no decodes.
+
+    Shapes are mini-vgg's first conv output (width 8 over 8x8 inputs)
+    at K=4, M=1 and one redundant share.
+    """
+    coeffs = CoefficientSet.generate(RNG, k=4, m=1, extra_shares=1)
+    verifier = IntegrityVerifier(coeffs)
+    sources = RNG.uniform((coeffs.n_sources, 8 * 8 * 8))
+    outputs = field_matmul(FIELD, coeffs.a.T, sources).reshape(6, 8, 8, 8)
+    report = benchmark(lambda: verifier.verify_forward(outputs))
+    assert report.consistent
 
 
 def test_backward_reference_aggregate_speed(benchmark):

@@ -54,6 +54,7 @@ TRACKED = (
     "test_forward_encode_speed[limb]",
     "test_forward_decode_speed[limb]",
     "test_backward_decode_many_speed[limb]",
+    "test_integrity_verify_forward_speed",
     "test_backward_reference_aggregate_speed",
     "test_coefficient_generation_speed",
     "test_conv2d_batched_gemm_speed",

@@ -26,7 +26,7 @@ The enclave keeps ``A`` and ``Gamma`` secret; ``B`` is public (the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -210,52 +210,79 @@ class CoefficientSet:
     # ------------------------------------------------------------------
     # decode-subset management
     # ------------------------------------------------------------------
-    def decoding_matrix(self, subset: tuple[int, ...] | None = None) -> np.ndarray:
-        """``A[:, subset]^{-1}`` for a ``k+m``-sized invertible share subset.
+    def _memo(self, key, compute, *args):
+        """Cache ``compute(*args)`` under ``key`` on this (frozen) set.
 
-        Memoized per subset: the field inverse is deterministic and ``A``
-        is frozen, so serving windows that decode thousands of batches
-        under one cached coefficient set pay the Gauss–Jordan inversion
-        once — part of the offline/online split's "coefficient material".
+        Everything derived from ``A`` and ``Gamma`` is deterministic, so
+        serving windows that reuse one coefficient set pay each
+        Gauss–Jordan solve once — part of the offline/online split's
+        "coefficient material".  Cached arrays are shared by every caller,
+        so they are made read-only.
         """
+        cache = self.__dict__.get("_memo_cache")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_memo_cache", cache)
+        value = cache.get(key)
+        if value is None:
+            value = compute(*args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            cache[key] = value
+        return value
+
+    def decoding_matrix(self, subset: tuple[int, ...] | None = None) -> np.ndarray:
+        """``A[:, subset]^{-1}`` for a ``k+m``-sized invertible share subset."""
         subset = self.primary_subset if subset is None else tuple(subset)
         if len(subset) != self.n_sources:
             raise EncodingError(
                 f"decoding needs exactly {self.n_sources} shares, got {len(subset)}"
             )
-        cache = self.__dict__.get("_decode_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_decode_cache", cache)
-        cached = cache.get(subset)
-        if cached is not None:
-            return cached
-        sub = self.a[:, list(subset)]
+        return self._memo(("decode", subset), self._invert, subset)
+
+    def _invert(self, subset: tuple[int, ...]) -> np.ndarray:
         try:
-            matrix = inverse(self.field, sub)
+            return inverse(self.field, self.a[:, list(subset)])
         except SingularMatrixError as exc:
             raise EncodingError(f"share subset {subset} is not decodable") from exc
-        cache[subset] = matrix
-        return matrix
 
     def iter_decoding_subsets(self, limit: int | None = None):
-        """Yield invertible ``k+m``-sized share subsets (primary first).
+        """Iterate invertible ``k+m``-sized share subsets (primary first).
 
-        Integrity verification decodes from at least two of these and
-        compares.  ``limit`` caps the enumeration for wide share sets.
+        Integrity verification's slow path decodes from several of these
+        and compares.  ``limit`` caps the enumeration for wide share sets.
         """
-        yielded = 0
-        seen_primary = False
-        for subset in combinations(range(self.n_shares), self.n_sources):
-            if subset == self.primary_subset:
-                seen_primary = True
-            if is_invertible(self.field, self.a[:, list(subset)]):
-                yield subset
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
-        if not seen_primary:  # pragma: no cover - primary is always a combination
-            raise EncodingError("primary subset missing from enumeration")
+
+        def enumerate_subsets() -> tuple[tuple[int, ...], ...]:
+            invertible = (
+                subset
+                for subset in combinations(range(self.n_shares), self.n_sources)
+                if is_invertible(self.field, self.a[:, list(subset)])
+            )
+            return tuple(islice(invertible, limit))
+
+        return iter(self._memo(("subsets", limit), enumerate_subsets))
+
+    def parity_checks(self) -> np.ndarray:
+        """Parity matrix ``C`` of shape ``(extra, n_shares)`` with ``A·Cᵀ = 0``.
+
+        Honest GPU outputs are ``Ȳ = Aᵀ·[Y | W·R]``, so ``C·Ȳ = 0``.  Row
+        ``i`` belongs to the ``i``-th non-primary share ``e``: it holds
+        ``-A_P⁻¹·a_e`` on the primary shares ``P`` and ``1`` at ``e``, i.e.
+        it states that share ``e``'s output is the combination of the
+        primary outputs that its encoding column prescribes.
+        """
+
+        def build() -> np.ndarray:
+            others = [j for j in range(self.n_shares) if j not in self.primary_subset]
+            # (k+m, extra): column i expresses a_e in the primary basis.
+            coords = field_matmul(self.field, self.decoding_matrix(), self.a[:, others])
+            checks = self.field.zeros((len(others), self.n_shares))
+            checks[:, list(self.primary_subset)] = self.field.neg(coords.T)
+            checks[np.arange(len(others)), others] = 1
+            return checks
+
+        return self._memo(("parity",), build)
 
     def backward_matrices_for_subset(
         self, subset: tuple[int, ...]
@@ -265,7 +292,11 @@ class CoefficientSet:
         Lets the integrity path decode the aggregate gradient twice from
         disjoint-enough share subsets and cross-check.
         """
-        b = self._solve_b(self.field, self.a, self.gamma, self.k, self.m, tuple(subset))
+        subset = tuple(subset)
+        b = self._memo(
+            ("backward", subset),
+            self._solve_b, self.field, self.a, self.gamma, self.k, self.m, subset,
+        )
         return b, self.gamma
 
     # ------------------------------------------------------------------

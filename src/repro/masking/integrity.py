@@ -1,26 +1,38 @@
 """Computational-integrity verification via redundant shares (Section 4.4).
 
-With ``K + M + 1`` shares there are ``K + M + 1`` linear equations for
-``K + M`` unknowns, so every result is recoverable from at least two distinct
-share subsets.  An honest system decodes identically from all of them; any
-disagreement proves at least one GPU returned a tampered result.  This gives
-the paper's ``(K'-1)``-security: *detection* succeeds even if all but one GPU
-lies (the decodes cannot all agree unless the lies are consistent with the
-secret ``A``, which the adversary cannot know).
+With ``K + M + extra`` shares the GPU outputs ``Ȳ = Aᵀ·[Y | W·R]`` carry
+``extra`` more equations than unknowns.  Honest outputs therefore lie in the
+row space of ``A``, and the parity matrix ``C`` of
+:meth:`CoefficientSet.parity_checks` (``A·Cᵀ = 0``, one row per redundant
+share) annihilates them: the *syndrome* ``C·Ȳ`` is zero.  Row ``e`` of the
+syndrome is zero exactly when share ``e``'s output equals what the primary
+decode predicts for it, which is exactly when the decode from the primary
+subset agrees with a decode that swaps share ``e`` in.  So one small GEMM
+decides what comparing decodes from every invertible subset decides: a
+tamper ``E`` escapes both precisely when ``E = Aᵀ·Δ`` for some ``Δ``, i.e.
+when it is consistent with the secret ``A`` the adversary cannot know.  This
+gives the paper's ``(K'-1)``-security: detection succeeds even if all but
+one GPU lies.
 
-Beyond detection, with enough redundancy the verifier can *localise* faults:
-a share whose exclusion restores consistency across every remaining subset is
-the culprit.  The paper leaves corrective action out of scope; we expose the
+A share whose column of ``C`` is zero takes part in no parity equation (and
+in every invertible subset), so a tamper on it alone is undetectable by any
+method; the verifier refuses such coefficient sets.
+
+The honest path decodes nothing.  Only a nonzero syndrome runs the slow
+path, which decodes from several subsets and *localises* the fault: a share
+whose exclusion restores consistency across every remaining subset is the
+culprit.  The paper leaves corrective action out of scope; we expose the
 suspect list so callers can re-dispatch work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from repro.errors import IntegrityError
+from repro.errors import DecodingError, IntegrityError
+from repro.fieldmath import field_matmul
 from repro.masking.coefficients import CoefficientSet
 from repro.masking.forward import ForwardDecoder
 
@@ -43,7 +55,7 @@ class IntegrityReport:
 
 
 class IntegrityVerifier:
-    """Cross-checks GPU results by decoding from multiple share subsets.
+    """Checks GPU results against the redundant shares' parity equations.
 
     Parameters
     ----------
@@ -52,8 +64,8 @@ class IntegrityVerifier:
         otherwise only a single decode subset may exist and tampering on the
         unique subset is undetectable.
     max_subsets:
-        Upper bound on how many invertible subsets to compare.  Two already
-        provide detection; more improve localisation.
+        Upper bound on how many invertible subsets the slow path compares
+        once the syndrome flags a tamper; more improve localisation.
     """
 
     def __init__(self, coefficients: CoefficientSet, max_subsets: int = 8) -> None:
@@ -73,11 +85,43 @@ class IntegrityVerifier:
     # forward-pass verification
     # ------------------------------------------------------------------
     def verify_forward(self, gpu_outputs: np.ndarray) -> IntegrityReport:
+        """Check ``gpu_outputs`` with one syndrome GEMM; localise on failure.
+
+        A zero syndrome certifies what comparing the primary decode with
+        one alternate decode per redundant share would, so the report counts
+        ``1 + extra`` subsets.  The check covers the recovered ``Y`` *and*
+        the ``W·r`` noise products — a tamper that only perturbs the noise
+        coordinate of one subset is caught too.
+        """
+        coeffs = self.coefficients
+        checks = coeffs.parity_checks()
+        if not checks.any(axis=0).all():
+            raise IntegrityError(
+                "coefficient set has a share outside every parity check;"
+                " a tamper on it alone is undetectable"
+            )
+        outputs = np.asarray(gpu_outputs, dtype=np.int64)
+        if outputs.shape[0] != coeffs.n_shares:
+            raise DecodingError(
+                f"expected outputs from all {coeffs.n_shares} shares (indexed by"
+                f" share id), got {outputs.shape[0]} rows"
+            )
+        syndrome = field_matmul(
+            coeffs.field, checks, outputs.reshape(coeffs.n_shares, -1)
+        )
+        if not syndrome.any():
+            return IntegrityReport(
+                consistent=True, subsets_checked=1 + coeffs.extra_shares
+            )
+        # A nonzero syndrome is proof of tampering whatever the compare finds.
+        return replace(self.compare_subsets(outputs), consistent=False)
+
+    def compare_subsets(self, gpu_outputs: np.ndarray) -> IntegrityReport:
         """Decode ``gpu_outputs`` from several subsets and compare everything.
 
-        Comparison covers the recovered ``Y`` *and* the ``W·r`` noise
-        products — a tamper that only perturbs the noise coordinate of one
-        subset would otherwise slip through.
+        The slow path behind :meth:`verify_forward` (and its test oracle):
+        comparison covers the recovered ``Y`` and the ``W·r`` noise
+        products, and a mismatch is localised.
         """
         subsets = list(
             self.coefficients.iter_decoding_subsets(limit=self.max_subsets)

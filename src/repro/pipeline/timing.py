@@ -92,7 +92,11 @@ class StageCostModel:
         return self.stage_overhead + nbytes / self.encode_bandwidth
 
     def decode_time(self, nbytes: int) -> float:
-        """Enclave seconds to gather/verify/unmask stacked GPU outputs."""
+        """Enclave seconds to gather/verify/unmask stacked GPU outputs.
+
+        Priced by bytes only: how the integrity check is computed (one
+        parity-check GEMM or several subset decodes) does not enter.
+        """
         return self.stage_overhead + nbytes / self.decode_bandwidth
 
     def local_time(self, nbytes: int) -> float:

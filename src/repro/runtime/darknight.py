@@ -7,7 +7,8 @@ This is the paper's Section 3.1 flow as a :class:`~repro.nn.backends.LinearBacke
 3. scatters one share per simulated GPU over the (modeled) link;
 4. GPUs run the bilinear kernel on their share;
 5. the enclave decodes the stacked results exactly, optionally verifying
-   integrity via a second decode subset, and dequantizes back to float;
+   integrity with the redundant shares' parity check, and dequantizes back
+   to float;
 6. backward weight gradients reuse the *stored* forward shares: GPUs combine
    the public-``B``-weighted gradients and return ``Eq_j``; the enclave
    recovers the batch-aggregate update with ``Σ_j γ_j·Eq_j``;
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.comm import LinkModel
 from repro.enclave import Enclave
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError, DecodingError, IntegrityError
 from repro.gpu import GpuCluster
 from repro.masking import (
     BackwardDecoder,
@@ -480,13 +481,17 @@ class DarKnightBackend:
 
     def _verify_backward(self, coeffs, d_q, primary_aggregate, gpu_op, record) -> None:
         """Re-decode the aggregate under a ``B`` supported on an alternate subset."""
-        alt_subset = None
-        for subset in coeffs.iter_decoding_subsets(limit=4):
-            if subset != coeffs.primary_subset:
-                alt_subset = subset
-                break
+        # The first two invertible subsets always include a non-primary one
+        # when any exists, so a longer enumeration would only cost time.
+        alt_subset = next(
+            (s for s in coeffs.iter_decoding_subsets(limit=2) if s != coeffs.primary_subset),
+            None,
+        )
         if alt_subset is None:
-            return
+            raise IntegrityError(
+                "coefficient set admits no alternate decode subset;"
+                " cannot verify the gradient"
+            )
         b_alt, gamma = coeffs.backward_matrices_for_subset(alt_subset)
         equations = self.cluster.map_shares(
             coeffs.n_shares,

@@ -89,3 +89,48 @@ def test_backward_integrity_catches_eq_only_tamper(nprng):
     backend.dense_forward(x, w, None, key="d")  # forward is honest -> passes
     with pytest.raises(IntegrityError):
         backend.dense_grad_w(x, nprng.normal(size=(2, 3)) * 0.1, key="d")
+
+
+def _single_subset_coefficients(field):
+    """K=1, M=1 plus one redundant share whose encoding column is zero:
+    every subset but the primary is singular, and the redundant share
+    checks nothing about the primary ones."""
+    from repro.masking import CoefficientSet
+
+    a = np.array([[3, 5, 0], [7, 11, 0]], dtype=np.int64)
+    gamma = np.array([1, 2, 3], dtype=np.int64)
+    b = CoefficientSet._solve_b(field, a, gamma, 1, 1, (0, 1))
+    coeffs = CoefficientSet(
+        field=field, k=1, m=1, a=a, gamma=gamma, b=b, primary_subset=(0, 1)
+    )
+    assert list(coeffs.iter_decoding_subsets()) == [(0, 1)]
+    return coeffs
+
+
+def _backend_with(coeffs):
+    cfg = DarKnightConfig(virtual_batch_size=1, integrity=True, seed=0)
+    backend = DarKnightBackend(cfg)
+    backend._fresh_coefficients = lambda: coeffs
+    return backend
+
+
+def test_forward_integrity_refuses_set_with_blind_shares(nprng):
+    from repro.errors import IntegrityError
+
+    backend = _backend_with(_single_subset_coefficients(PrimeField()))
+    with pytest.raises(IntegrityError, match="undetectable"):
+        backend.dense_forward(nprng.normal(size=(1, 8)), nprng.normal(size=(8, 3)), None, key="d")
+
+
+def test_backward_integrity_refuses_set_without_alternate_subset(nprng, monkeypatch):
+    """With integrity on, a gradient that cannot be re-decoded from a
+    second subset raises instead of going out unverified."""
+    from repro.errors import IntegrityError
+
+    backend = _backend_with(_single_subset_coefficients(PrimeField()))
+    # Let the forward through so the backward check is reached.
+    monkeypatch.setattr(backend, "_verify_forward", lambda coeffs, outputs: None)
+    x = nprng.normal(size=(1, 8))
+    backend.dense_forward(x, nprng.normal(size=(8, 3)), None, key="d")
+    with pytest.raises(IntegrityError, match="alternate decode subset"):
+        backend.dense_grad_w(x, nprng.normal(size=(1, 3)) * 0.1, key="d")
