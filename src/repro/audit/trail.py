@@ -231,9 +231,19 @@ def load_manifest(log_dir: str | Path) -> dict:
     return json.loads(path.read_text())
 
 
+#: Config keys older manifests recorded that no longer exist; neither
+#: ever changed a served bit, so replay drops them.
+_RETIRED_CONFIG_KEYS = ("precompute", "field_backend")
+
+
 def manifest_config(manifest: dict) -> DarKnightConfig:
     """Rebuild the effective DarKnight config a manifest recorded."""
     try:
-        return DarKnightConfig(**manifest["darknight"])
-    except (KeyError, TypeError) as exc:
+        fields = {
+            key: value
+            for key, value in manifest["darknight"].items()
+            if key not in _RETIRED_CONFIG_KEYS
+        }
+        return DarKnightConfig(**fields)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise AuditError(f"audit manifest has no usable config ({exc})") from exc

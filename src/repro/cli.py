@@ -139,8 +139,9 @@ def _serve_parser() -> argparse.ArgumentParser:
         "--config", default=None, metavar="FILE_OR_PRESET",
         help="load a full ServingConfig from a JSON file"
              " (ServingConfig.to_dict layout) or a named preset"
-             " (latency | throughput | audited); explicit per-field flags"
-             " still override it, with a deprecation warning",
+             " (latency | throughput | audited); the per-field flags below"
+             " cannot be combined with it (--seed and the autoscale knobs"
+             " can)",
     )
     parser.add_argument(
         "--virtual-batch", type=int, default=None,
@@ -167,11 +168,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="usable EPC bytes each enclave models (default: the paper"
              " generation's ~93 MB); adaptive batching sizes K against it"
              " (requires --adaptive-batching)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated; overlap now comes from the staged pipeline"
-             " (use --pipeline-depth)",
     )
     parser.add_argument(
         "--pipeline-depth", type=int, default=None,
@@ -241,13 +237,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue-capacity", type=int, default=None,
         help="bounded queue size (default 256)",
-    )
-    parser.add_argument(
-        "--field-backend", default=None, choices=["limb", "generic"],
-        help="field-op backend for every masked GEMM: 'limb' (float64 BLAS"
-             " GEMMs over 13-bit limbs with Barrett reduction, the fast"
-             " default) or 'generic' (chunked int64 oracle); results are"
-             " bit-identical either way",
     )
     parser.add_argument(
         "--integrity", action="store_true",
@@ -348,18 +337,16 @@ def _load_serving_config(spec: str):
     return ServingConfig.from_dict(data)
 
 
-# CLI flags a --config file supersedes, with the predicate telling
-# whether the flag was explicitly given on this invocation.
+# Per-field serve flags.  A --config file already fixes every one of
+# them, so combining the two is an error rather than a silent merge.
 _SUPERSEDED_FLAGS = (
     ("--virtual-batch", "virtual_batch"),
     ("--batch-wait", "batch_wait"),
-    ("--workers", "workers"),
     ("--pipeline-depth", "pipeline_depth"),
     ("--stage-ranker", "stage_ranker"),
     ("--num-shards", "num_shards"),
     ("--partition", "partition"),
     ("--queue-capacity", "queue_capacity"),
-    ("--field-backend", "field_backend"),
     ("--epc-budget", "epc_budget"),
     ("--target-fill", "target_fill"),
     ("--integrity", "integrity"),
@@ -372,113 +359,105 @@ _SUPERSEDED_FLAGS = (
 )
 
 
-def _serve(args) -> int:
-    import dataclasses
-    import warnings
+def _given(values: dict) -> dict:
+    """Drop the flags left at ``None`` so the config defaults apply."""
+    return {key: value for key, value in values.items() if value is not None}
 
+
+def _config_from_flags(args):
+    """Build the ServingConfig the per-field serve flags describe."""
     from repro.errors import ConfigurationError
     from repro.runtime.config import DarKnightConfig
-    from repro.serving import (
-        AutoscaleConfig,
-        PrivateInferenceServer,
-        ServingConfig,
-        synthetic_trace,
-    )
+    from repro.serving import AdaptiveBatchingConfig, AuditConfig, ServingConfig
 
-    # DeprecationWarning is hidden by default outside __main__; a CLI
-    # user should still see their flags are on the way out.
-    warnings.filterwarnings("default", category=DeprecationWarning, module=__name__)
-    if args.workers is not None:
-        warnings.warn(
-            "--workers is deprecated and changes nothing beyond the recorded"
-            " config: overlap comes from the staged pipeline"
-            " (--pipeline-depth) and parallel shard timelines (--num-shards)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    base = _load_serving_config(args.config) if args.config is not None else None
-    if base is not None:
-        used = sorted(
-            flag
-            for flag, dest in _SUPERSEDED_FLAGS
-            if getattr(args, dest) not in (None, False)
-        )
-        if used:
-            warnings.warn(
-                f"{', '.join(used)}: per-field serve flags are deprecated"
-                " when --config is given — move them into the config file"
-                " (explicit flags still override it for now)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    base_dk = base.darknight if base is not None else DarKnightConfig()
-
-    def pick(flag_value, config_value, default):
-        """Explicit flag > config file > legacy default."""
-        if flag_value is not None:
-            return flag_value
-        return config_value if base is not None else default
-
-    seed = pick(args.seed, base_dk.seed, 0)
-    if seed is None:
-        seed = 0
-    virtual_batch = pick(args.virtual_batch, base_dk.virtual_batch_size, 4)
-    pipeline_depth = pick(args.pipeline_depth, base_dk.pipeline_depth, 1)
-    num_shards = pick(args.num_shards, base_dk.num_shards, 1)
-    field_backend = pick(args.field_backend, base_dk.field_backend, "limb")
-    stage_ranker = pick(args.stage_ranker, base_dk.stage_ranker, "earliest")
-    epc_budget = pick(args.epc_budget, base_dk.epc_budget_bytes, None)
-    integrity = args.integrity or (base is not None and base_dk.integrity)
-    batch_wait = pick(
-        args.batch_wait, base.max_batch_wait if base else None, 0.01
-    )
-    queue_capacity = pick(
-        args.queue_capacity, base.queue_capacity if base else None, 256
-    )
-    n_workers = pick(args.workers, base.n_workers if base else None, 2)
-    coalesce = not args.per_request and (base.coalesce if base else True)
-    partition = pick(
-        args.partition, base.partition if base else None, "replicated"
-    )
-    precompute = args.precompute or (base is not None and base.precompute)
-
-    if args.rate <= 0:
-        raise ConfigurationError(f"--rate must be > 0, got {args.rate}")
-    if pipeline_depth < 1:
+    if args.pipeline_depth is not None and args.pipeline_depth < 1:
         raise ConfigurationError(
-            f"--pipeline-depth must be >= 1, got {pipeline_depth}"
+            f"--pipeline-depth must be >= 1, got {args.pipeline_depth}"
         )
-    if num_shards < 1:
+    if args.num_shards is not None and args.num_shards < 1:
         raise ConfigurationError(
-            f"--num-shards must be >= 1, got {num_shards}"
+            f"--num-shards must be >= 1, got {args.num_shards}"
         )
-
-    adaptive = base.adaptive if base is not None else None
-    if args.adaptive_batching and adaptive is None:
-        from repro.serving import AdaptiveBatchingConfig
-
-        adaptive = AdaptiveBatchingConfig()
-    if args.target_fill is not None:
-        if adaptive is None:
-            raise ConfigurationError(
-                "--target-fill only applies with --adaptive-batching"
-            )
-        adaptive = dataclasses.replace(adaptive, target_fill=args.target_fill)
-    if adaptive is None and epc_budget is not None:
+    if args.target_fill is not None and not args.adaptive_batching:
+        raise ConfigurationError(
+            "--target-fill only applies with --adaptive-batching"
+        )
+    if args.epc_budget is not None and not args.adaptive_batching:
         raise ConfigurationError(
             "--epc-budget only applies with --adaptive-batching"
         )
+    adaptive = (
+        AdaptiveBatchingConfig(**_given({"target_fill": args.target_fill}))
+        if args.adaptive_batching
+        else None
+    )
+    darknight = DarKnightConfig(
+        integrity=args.integrity,
+        **_given(
+            {
+                "virtual_batch_size": args.virtual_batch,
+                "pipeline_depth": args.pipeline_depth,
+                "stage_ranker": args.stage_ranker,
+                "num_shards": args.num_shards,
+                "epc_budget_bytes": args.epc_budget,
+            }
+        ),
+    )
+    audit = (
+        AuditConfig(log_dir=args.audit_log, model=args.model)
+        if args.audit_log is not None
+        else None
+    )
+    return ServingConfig(
+        darknight=darknight,
+        coalesce=not args.per_request,
+        adaptive=adaptive,
+        slo=_build_slo(args),
+        audit=audit,
+        precompute=args.precompute,
+        **_given(
+            {
+                "max_batch_wait": args.batch_wait,
+                "queue_capacity": args.queue_capacity,
+                "partition": args.partition,
+            }
+        ),
+    )
 
-    slo = _build_slo(args)
-    if slo is None and base is not None:
-        slo = base.slo
-    if slo is None and stage_ranker == "deadline":
+
+def _serve(args) -> int:
+    import dataclasses
+
+    from repro.errors import ConfigurationError
+    from repro.serving import (
+        AutoscaleConfig,
+        PrivateInferenceServer,
+        synthetic_trace,
+    )
+
+    if args.rate <= 0:
+        raise ConfigurationError(f"--rate must be > 0, got {args.rate}")
+    if args.config is not None:
+        used = [
+            flag
+            for flag, dest in _SUPERSEDED_FLAGS
+            if getattr(args, dest) not in (None, False)
+        ]
+        if used:
+            raise ConfigurationError(
+                f"{', '.join(used)} cannot be combined with --config:"
+                " set the field in the config file instead"
+            )
+        config = _load_serving_config(args.config)
+    else:
+        config = _config_from_flags(args)
+    if config.slo is None and config.darknight.stage_ranker == "deadline":
         raise ConfigurationError(
             "--stage-ranker deadline needs SLO budgets to rank on"
             " (add --slo-budget class=ms)"
         )
 
-    autoscale = base.autoscale if base is not None else None
+    autoscale = config.autoscale
     tuning = (
         args.min_shards is not None
         or args.max_shards is not None
@@ -490,63 +469,34 @@ def _serve(args) -> int:
             " --autoscale (or a config file with an autoscale section)"
         )
     if args.autoscale or tuning:
-        knobs = {}
-        if args.min_shards is not None:
-            knobs["min_shards"] = args.min_shards
-        if args.max_shards is not None:
-            knobs["max_shards"] = args.max_shards
-        if args.target_utilization is not None:
-            knobs["utilization_high"] = args.target_utilization
+        knobs = _given(
+            {
+                "min_shards": args.min_shards,
+                "max_shards": args.max_shards,
+                "utilization_high": args.target_utilization,
+            }
+        )
         autoscale = (
             dataclasses.replace(autoscale, **knobs)
             if autoscale is not None
             else AutoscaleConfig(**knobs)
         )
 
-    audit = base.audit if base is not None else None
-    if args.audit_log is not None:
-        from repro.serving import AuditConfig
-
-        audit = AuditConfig(log_dir=args.audit_log, model=args.model)
-
-    dk = dataclasses.replace(
-        base_dk,
-        virtual_batch_size=virtual_batch,
-        integrity=integrity,
-        field_backend=field_backend,
-        pipeline_depth=pipeline_depth,
-        stage_ranker=stage_ranker,
-        num_shards=num_shards,
-        epc_budget_bytes=epc_budget,
-        seed=seed,
-    )
+    seed = args.seed if args.seed is not None else config.darknight.seed
+    if seed is None:
+        seed = 0
+    dk = dataclasses.replace(config.darknight, seed=seed)
+    config = dataclasses.replace(config, darknight=dk, autoscale=autoscale)
+    num_shards = dk.num_shards
     gpus_needed = num_shards * dk.n_gpus_required
     if args.gpus is not None and args.gpus < gpus_needed:
         raise ConfigurationError(
             f"--gpus {args.gpus} cannot host {num_shards} shard(s): each"
-            f" shard needs K + M{' + 1 (integrity)' if integrity else ''}"
+            f" shard needs K + M{' + 1 (integrity)' if dk.integrity else ''}"
             f" = {dk.n_gpus_required} simulated GPUs, {gpus_needed} total;"
             " raise --gpus or lower --num-shards / --virtual-batch"
         )
     network, input_shape = build_serving_model(args.model, seed=seed)
-    overrides = dict(
-        darknight=dk,
-        partition=partition,
-        max_batch_wait=batch_wait,
-        queue_capacity=queue_capacity,
-        n_workers=n_workers,
-        coalesce=coalesce,
-        adaptive=adaptive,
-        slo=slo,
-        audit=audit,
-        autoscale=autoscale,
-        precompute=precompute,
-    )
-    config = (
-        dataclasses.replace(base, **overrides)
-        if base is not None
-        else ServingConfig(**overrides)
-    )
     trace = synthetic_trace(
         n_requests=args.requests,
         input_shape=input_shape,
@@ -556,15 +506,15 @@ def _serve(args) -> int:
     )
     server = PrivateInferenceServer(network, config)
     report = server.serve_trace(trace)
-    if args.per_request:
+    if not config.coalesce:
         mode = "per-request"
-    elif adaptive is not None:
+    elif config.adaptive is not None:
         mode = (
             f"adaptive K={server.darknight.virtual_batch_size}"
-            f" (requested {virtual_batch})"
+            f" (requested {dk.virtual_batch_size})"
         )
     else:
-        mode = f"coalesced K={virtual_batch}"
+        mode = f"coalesced K={dk.virtual_batch_size}"
     if autoscale is not None:
         initial = min(max(num_shards, autoscale.min_shards), autoscale.max_shards)
         shard_desc = (
@@ -575,11 +525,11 @@ def _serve(args) -> int:
         shard_desc = f"{num_shards} shard(s)"
     print(
         f"served {args.requests} requests from {args.tenants} tenants"
-        f" ({mode}, integrity={'on' if integrity else 'off'},"
-        f" pipeline depth {pipeline_depth},"
+        f" ({mode}, integrity={'on' if dk.integrity else 'off'},"
+        f" pipeline depth {dk.pipeline_depth},"
         f" {shard_desc})"
     )
-    if slo is not None:
+    if config.slo is not None:
         classes = ", ".join(
             f"{row['name']}"
             + (
@@ -588,10 +538,11 @@ def _serve(args) -> int:
                 else " (no budget)"
             )
             + (f" <- {', '.join(row['tenants'])}" if row["tenants"] else "")
-            for row in slo.class_table()
+            for row in config.slo.class_table()
         )
-        print(f"SLO classes ({stage_ranker} ranker): {classes}")
+        print(f"SLO classes ({dk.stage_ranker} ranker): {classes}")
     print(report.render())
+    audit = config.audit
     if audit is not None and audit.log_dir is not None:
         print(
             f"audit: {server.metrics.audit_windows} windows"

@@ -31,11 +31,14 @@ lowers to a libdivide multiply+shift, i.e. Barrett; the explicit int64
 :class:`repro.fieldmath.prime.PrimeField` uses the division-free
 conditional-correction forms for add/sub/mul instead.)
 
-The generic backend is kept as the oracle: every fast kernel is
-property-tested bit-identical against it (``tests/test_fieldmath_kernels``).
-Select a backend globally (:func:`set_default_backend`, wired to
-``DarKnightConfig.field_backend`` / ``serve --field-backend``), per call
-(``field_matmul(..., backend=...)``), or lexically (:func:`use_backend`).
+The limb backend is the default and the only one the runtime selects;
+it falls back to the generic path by itself when the modulus or the
+contraction leaves its exact range.  The generic backend is kept as the
+oracle: every fast kernel is property-tested bit-identical against it
+(``tests/test_fieldmath_kernels``).  Tests and benchmarks reach it per
+call (``field_matmul(..., backend=...)``) or lexically
+(:func:`use_backend`); :func:`set_default_backend` switches the process
+default.
 """
 
 from __future__ import annotations

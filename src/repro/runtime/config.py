@@ -27,13 +27,6 @@ class DarKnightConfig:
         ``l`` of Algorithm 1 (8 in the paper).
     prime:
         Field modulus (``2**25 - 39`` in the paper).
-    field_backend:
-        Field-op backend every masked GEMM dispatches to
-        (:mod:`repro.fieldmath.kernels`): ``"limb"`` (the default — exact
-        float64 BLAS GEMMs over 13-bit limbs with Barrett reduction, ~8x
-        faster) or ``"generic"`` (the chunked int64 oracle).  Backends are
-        bit-identical by construction; constructing a backend applies the
-        choice process-wide.
     dynamic_normalization:
         Max-abs rescale tensors before quantization (the paper's VGG mode);
         gradients are always normalised since their scale varies wildly.
@@ -84,14 +77,6 @@ class DarKnightConfig:
         (the backward pass needs a scalar batch factor); the serving layer
         enables it so routing/coalescing choices — including shard counts —
         can never change a response bit.
-    precompute:
-        Enable the offline/online split (:mod:`repro.precompute`): masks
-        are drawn from a pregenerated counter-based pool refilled during
-        enclave idle gaps, weight encodings are cached per layer across
-        flush windows (invalidated on membership change / model swap),
-        and hot-path kernels reuse per-shape scratch buffers.  Off (the
-        default) keeps the legacy always-inline behaviour; outputs are
-        bit-identical either way.
     epc_budget_bytes:
         Usable EPC bytes each provisioned enclave models (``None`` keeps
         the paper generation's ~93 MB).  The serving layer's adaptive
@@ -108,7 +93,6 @@ class DarKnightConfig:
     integrity: bool = False
     fractional_bits: int = 8
     prime: int = DEFAULT_PRIME
-    field_backend: str = "limb"
     dynamic_normalization: bool = True
     mds_noise: bool = True
     sealed_aggregation: bool = False
@@ -118,7 +102,6 @@ class DarKnightConfig:
     stage_ranker: str = "earliest"
     num_shards: int = 1
     per_sample_normalization: bool = False
-    precompute: bool = False
     epc_budget_bytes: int | None = None
     seed: int | None = None
 
@@ -147,13 +130,6 @@ class DarKnightConfig:
             raise ConfigurationError(
                 f"unknown stage ranker {self.stage_ranker!r}"
                 f" (available: {sorted(STAGE_RANKERS)})"
-            )
-        from repro.fieldmath.kernels import BACKENDS
-
-        if self.field_backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown field backend {self.field_backend!r}"
-                f" (available: {sorted(BACKENDS)})"
             )
         if self.num_shards < 1:
             raise ConfigurationError(

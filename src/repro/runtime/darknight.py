@@ -82,6 +82,14 @@ class DarKnightBackend:
         Simulated accelerators; needs ``config.n_gpus_required`` devices.
     link:
         Interconnect cost model (bytes charged on every scatter/gather).
+    precompute:
+        Enable the offline/online split (:mod:`repro.precompute`): masks
+        are drawn from a pregenerated counter-based pool refilled during
+        enclave idle gaps, weight encodings are cached per layer across
+        flush windows (invalidated on membership change / model swap),
+        and hot-path kernels reuse per-shape scratch buffers.  Serving
+        only (training mutates weights in place); outputs are
+        bit-identical either way.
     """
 
     def __init__(
@@ -90,15 +98,9 @@ class DarKnightBackend:
         enclave: Enclave | None = None,
         cluster: GpuCluster | None = None,
         link: LinkModel | None = None,
+        precompute: bool = False,
     ) -> None:
         self.config = config or DarKnightConfig()
-        # Every masked GEMM in this session (enclave encode/decode and the
-        # simulated GPUs' kernels) funnels through field_matmul, so the
-        # config's backend choice is applied as the process default here —
-        # the single construction point both sides share.
-        from repro.fieldmath.kernels import set_default_backend
-
-        set_default_backend(self.config.field_backend)
         self.enclave = enclave or Enclave(seed=self.config.seed)
         self.field = self.enclave.field
         if self.field.p != self.config.prime:
@@ -117,11 +119,11 @@ class DarKnightBackend:
         self._forward_store: dict[str, list[_ForwardRecord]] = {}
         self._cached_coefficients: CoefficientSet | None = None
         # Offline/online split: a counter-based mask pool plus a static
-        # weight-encoding cache (precompute mode only — training mutates
-        # weight arrays in place, so caching by identity is serving-only).
+        # weight-encoding cache (caching by weight identity is sound only
+        # because serving never mutates weights).
         self._mask_pool: MaskStreamPool | None = None
         self._weight_cache: dict[str, tuple[tuple, StagedLinearOp]] = {}
-        if self.config.precompute:
+        if precompute:
             base_key = (
                 self.config.seed
                 if self.config.seed is not None

@@ -109,10 +109,6 @@ class ServingConfig:
         flight behind busy workers, summed over every shard; beyond it
         the server sheds load, so sustained overload surfaces as shed
         requests instead of unbounded latency.
-    n_workers:
-        Accepted for compatibility; concurrency comes from the staged
-        pipeline (``darknight.pipeline_depth``) and from parallel shard
-        timelines (``darknight.num_shards``).
     coalesce:
         ``False`` dispatches every request alone (the naive baseline the
         serving benchmark measures against); the enclave still pads each
@@ -173,10 +169,11 @@ class ServingConfig:
         RNG streams, so pooled and inline generation are bit-identical),
         a static per-``(shard, layer)`` weight-encoding cache reused
         across flush windows, and recycled hot-path scratch buffers.
-        Refills run only in enclave-timeline idle gaps.  ``False`` — the
-        default — keeps the serving path bit-identical to previous
-        releases; ``True`` changes *when* work happens, never the bits
-        of any response.
+        Refills run only in enclave-timeline idle gaps.  ``True``
+        changes *when* work happens, never the bits of any response.
+        Opt-in (``False`` by default): pool refills and cache lookups
+        cost wall time, which the verified ``serve-integrity`` workload
+        pays without gaining anything back.
     partition:
         How the model maps onto the deployment's shards.
         ``"replicated"`` (the default) gives every shard the full model;
@@ -194,7 +191,6 @@ class ServingConfig:
     darknight: DarKnightConfig = field(default_factory=DarKnightConfig)
     max_batch_wait: float = 0.01
     queue_capacity: int = 256
-    n_workers: int = 1
     coalesce: bool = True
     reuse_coefficients: bool = True
     encrypt_requests: bool = True
@@ -248,7 +244,6 @@ class ServingConfig:
             "darknight": dataclasses.asdict(self.darknight),
             "max_batch_wait": self.max_batch_wait,
             "queue_capacity": self.queue_capacity,
-            "n_workers": self.n_workers,
             "coalesce": self.coalesce,
             "reuse_coefficients": self.reuse_coefficients,
             "encrypt_requests": self.encrypt_requests,
@@ -491,8 +486,6 @@ class PrivateInferenceServer:
             # Served logits must not depend on batch composition (and so
             # not on coalescing, pipelining, or shard routing choices).
             dk = dataclasses.replace(dk, per_sample_normalization=True)
-        if self.config.precompute and not dk.precompute:
-            dk = dataclasses.replace(dk, precompute=True)
         autoscale = self.config.autoscale
         if autoscale is not None:
             # num_shards becomes the *initial* count, clamped into the
@@ -581,6 +574,7 @@ class PrivateInferenceServer:
                 cluster=cluster if shard_id == 0 else None,
                 enclave=enclave if shard_id == 0 else None,
                 link=self.link,
+                precompute=self.config.precompute,
             )
             for shard_id in range(dk.num_shards)
         ]
@@ -682,7 +676,6 @@ class PrivateInferenceServer:
                 on_commit=self.metrics.record_commit,
             )
         self.pool = InferenceWorkerPool(
-            n_workers=self.config.n_workers,
             shards=self.units,
             router=self.router,
             sessions=self.sessions,
@@ -777,6 +770,7 @@ class PrivateInferenceServer:
             code_identity=self.config.code_identity,
             stage_costs=self.config.stage_costs,
             link=self.link,
+            precompute=self.config.precompute,
         )
         shard.provisioned_at = now
         self.shards.append(shard)

@@ -60,9 +60,6 @@ class InferenceWorkerPool:
         Single-shard convenience: the engine is wrapped in an implicit
         shard 0 (the pre-sharding deployment shape).  Mutually exclusive
         with ``shards``.
-    n_workers:
-        Kept for interface compatibility (must be >= 1); concurrency
-        comes from the per-shard pipelines, not worker lanes.
     shards:
         The deployment's :class:`~repro.sharding.EnclaveShard` s.
     router:
@@ -98,7 +95,6 @@ class InferenceWorkerPool:
     def __init__(
         self,
         engine: PrivateInferenceEngine | None = None,
-        n_workers: int = 1,
         shards: list[EnclaveShard] | None = None,
         router=None,
         sessions=None,
@@ -106,8 +102,6 @@ class InferenceWorkerPool:
         slo=None,
         audit=None,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError(f"worker pool needs >= 1 workers, got {n_workers}")
         if shards is None:
             if engine is None:
                 raise ConfigurationError("worker pool needs an engine or shards")
@@ -120,7 +114,6 @@ class InferenceWorkerPool:
         self.on_feedback = on_feedback
         self.slo = slo
         self.audit = audit
-        self._n_workers = n_workers
         self.batches_run = 0
         #: Enclave-occupied simulated seconds summed over all shards.
         self.busy_time = 0.0
@@ -622,11 +615,6 @@ class InferenceWorkerPool:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        """Configured worker count (compatibility; see class docstring)."""
-        return self._n_workers
-
     @property
     def n_shards(self) -> int:
         """Enclave shards behind this pool."""

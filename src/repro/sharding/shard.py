@@ -68,6 +68,7 @@ class EnclaveShard:
         cluster: GpuCluster | None = None,
         enclave: Enclave | None = None,
         link: LinkModel | None = None,
+        precompute: bool = False,
     ) -> "EnclaveShard":
         """Build a shard's full trusted stack from a DarKnight config.
 
@@ -75,6 +76,8 @@ class EnclaveShard:
         the shard id, so multi-shard deployments stay deterministic while
         every shard masks with independent coefficients/noise.  (Decoded
         logits never depend on the seed — masking decodes exactly.)
+        ``precompute`` turns on the backend's offline/online split
+        (:class:`~repro.runtime.darknight.DarKnightBackend`).
         """
         seed = None if config.seed is None else config.seed + shard_id
         shard_config = dataclasses.replace(config, seed=seed)
@@ -85,7 +88,11 @@ class EnclaveShard:
         )
         enclave = enclave or Enclave(code_identity=code_identity, seed=seed, epc=epc)
         backend = DarKnightBackend(
-            shard_config, enclave=enclave, cluster=cluster, link=link
+            shard_config,
+            enclave=enclave,
+            cluster=cluster,
+            link=link,
+            precompute=precompute,
         )
         engine = PrivateInferenceEngine(
             network, backend=backend, stage_costs=stage_costs

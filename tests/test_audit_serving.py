@@ -13,7 +13,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.audit import AuditLog, load_manifest, manifest_config, prove, verify_proof
+from repro.audit import (
+    AuditLog,
+    load_manifest,
+    manifest_config,
+    prove,
+    replay_window,
+    verify_proof,
+)
+from repro.errors import AuditError
 from repro.fieldmath import PrimeField
 from repro.gpu import GpuCluster, RandomTamper
 from repro.nn import Dense, ReLU, Sequential
@@ -32,11 +40,13 @@ def _tiny_net(seed=0):
     return Sequential([Dense(16, 12, rng=rng), ReLU(), Dense(12, 4, rng=rng)], (16,))
 
 
-def _serve(trace, *, audit=None, num_shards=1, **dk_kwargs):
+def _serve(trace, *, audit=None, num_shards=1, precompute=False, **dk_kwargs):
     dk = DarKnightConfig(
         virtual_batch_size=4, seed=0, num_shards=num_shards, **dk_kwargs
     )
-    config = ServingConfig(darknight=dk, queue_capacity=512, audit=audit)
+    config = ServingConfig(
+        darknight=dk, queue_capacity=512, audit=audit, precompute=precompute
+    )
     server = PrivateInferenceServer(_tiny_net(), config)
     return server, server.serve_trace(trace)
 
@@ -94,6 +104,37 @@ def test_audit_logs_persist_with_a_replayable_manifest(tmp_path):
         loaded = AuditLog.load(tmp_path / f"shard{sid}.audit.jsonl")
         assert loaded.chain_root == report.audit_roots[sid]
         loaded.verify_chain()
+
+
+def test_precompute_commits_the_same_config_digest_and_roots():
+    """Precompute changes when work happens, never a served bit, so the
+    committed config (and with it every chain root) must not record it."""
+    trace = synthetic_trace(24, (16,), n_tenants=3, mean_interarrival=1e-4, seed=5)
+    off_server, off = _serve(trace, audit=AuditConfig(), num_shards=2)
+    on_server, on = _serve(
+        trace, audit=AuditConfig(), num_shards=2, precompute=True
+    )
+    assert on.precompute is not None and off.precompute is None
+    assert on_server.audit.config_digest == off_server.audit.config_digest
+    assert on.audit_roots == off.audit_roots
+
+
+def test_manifest_with_retired_config_keys_still_replays(tmp_path):
+    """Manifests written while ``precompute`` and ``field_backend`` were
+    DarKnightConfig fields still rebuild the config and replay; any other
+    unknown key is still refused."""
+    trace = synthetic_trace(16, (16,), n_tenants=3, mean_interarrival=1e-4, seed=9)
+    audit = AuditConfig(log_dir=str(tmp_path), model="tiny")
+    server, _ = _serve(trace, audit=audit, num_shards=2)
+    manifest = load_manifest(tmp_path)
+    manifest["darknight"].update(precompute=True, field_backend="limb")
+    old = manifest_config(manifest)
+    assert old == server.darknight
+    entry = AuditLog.load(tmp_path / "shard0.audit.jsonl").entries[0]
+    assert replay_window(entry, _tiny_net(), old).matched
+    manifest["darknight"]["no_such_field"] = 1
+    with pytest.raises(AuditError):
+        manifest_config(manifest)
 
 
 def test_integrity_failure_commits_an_aborted_window():

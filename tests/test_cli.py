@@ -1,5 +1,6 @@
 """Smoke tests for the ``python -m repro`` command-line entry points."""
 
+import json
 import runpy
 
 import pytest
@@ -341,8 +342,6 @@ def test_serve_with_config_preset(capsys):
 
 
 def test_serve_with_config_file_round_trips(tmp_path, capsys):
-    import json
-
     from repro.serving import ServingConfig
 
     cfg = ServingConfig.preset("latency")
@@ -359,32 +358,38 @@ def test_serve_config_rejects_unknown_preset_and_bad_file(tmp_path, capsys):
     rc = main(["serve", "--config", "warp-speed", "--requests", "4"])
     assert rc == 2
     assert "neither a preset" in capsys.readouterr().err
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"no_such_key": 1}')
-    rc = main(["serve", "--config", str(bad), "--requests", "4"])
+    # The retired worker count is an unknown key like any other.
+    for key in ("no_such_key", "n_workers"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: 1}))
+        rc = main(["serve", "--config", str(bad), "--requests", "4"])
+        assert rc == 2
+        assert "unknown serving config keys" in capsys.readouterr().err
+
+
+def test_serve_superseded_flags_are_rejected_with_config(capsys):
+    rc = main(
+        [
+            "serve",
+            "--config", "throughput",
+            "--virtual-batch", "2",
+            "--integrity",
+            "--requests", "8",
+            "--seed", "0",
+        ]
+    )
     assert rc == 2
-    assert "unknown serving config keys" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--virtual-batch" in err and "--integrity" in err
+    assert "--config" in err
 
 
-def test_serve_superseded_flags_warn_but_still_override(capsys):
-    with pytest.warns(DeprecationWarning, match="--virtual-batch"):
-        rc = main(
-            [
-                "serve",
-                "--config", "throughput",
-                "--virtual-batch", "2",
-                "--requests", "8",
-                "--seed", "0",
-            ]
-        )
-    assert rc == 0
-    assert "coalesced K=2" in capsys.readouterr().out  # flag beat the preset
-
-
-def test_serve_workers_flag_is_deprecated(capsys):
-    with pytest.warns(DeprecationWarning, match="--workers"):
-        rc = main(["serve", "--requests", "8", "--workers", "3", "--seed", "0"])
-    assert rc == 0
+@pytest.mark.parametrize("flag", ["--workers", "--field-backend"])
+def test_serve_retired_flags_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--requests", "8", flag, "limb", "--seed", "0"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_serve_autoscale_smoke(capsys):

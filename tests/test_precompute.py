@@ -10,7 +10,6 @@ rebuild) — plus the steady-state acceptance bar: a warmed-up flush
 window generates no inline masks and re-stages no weights.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -40,9 +39,10 @@ def _serve(precompute, trace, *, num_shards=1, partition="replicated",
         seed=seed,
         num_shards=num_shards,
         pipeline_depth=pipeline_depth,
-        precompute=precompute,
     )
-    config = ServingConfig(darknight=dk, partition=partition, queue_capacity=512)
+    config = ServingConfig(
+        darknight=dk, partition=partition, queue_capacity=512, precompute=precompute
+    )
     server = PrivateInferenceServer(_tiny_net(), config)
     return server, server.serve_trace(trace)
 
@@ -228,10 +228,7 @@ def test_weight_cache_invalidates_on_membership_change():
     dk = DarKnightConfig(virtual_batch_size=4, seed=7, num_shards=2)
     on = PrivateInferenceServer(
         _tiny_net(),
-        ServingConfig(
-            darknight=dataclasses.replace(dk, precompute=True),
-            queue_capacity=512,
-        ),
+        ServingConfig(darknight=dk, queue_capacity=512, precompute=True),
     )
     trace = synthetic_trace(16, (16,), n_tenants=3, seed=11)
     on.serve_trace(trace)
@@ -249,8 +246,7 @@ def test_weight_cache_invalidates_on_membership_change():
         precompute: PrivateInferenceServer(
             _tiny_net(),
             ServingConfig(
-                darknight=dataclasses.replace(dk, precompute=precompute),
-                queue_capacity=512,
+                darknight=dk, queue_capacity=512, precompute=precompute
             ),
         )
         for precompute in (False, True)
@@ -391,9 +387,9 @@ def test_reroute_without_slo_leaves_deadline_unset():
 def test_metrics_snapshot_is_strict_json_when_pool_never_drawn():
     """A precompute server that served nothing must still snapshot to
     strict JSON — no ``inf``/``NaN`` from empty pool or cache stats."""
-    dk = DarKnightConfig(virtual_batch_size=4, seed=0, precompute=True)
+    dk = DarKnightConfig(virtual_batch_size=4, seed=0)
     server = PrivateInferenceServer(
-        _tiny_net(), ServingConfig(darknight=dk, queue_capacity=16)
+        _tiny_net(), ServingConfig(darknight=dk, queue_capacity=16, precompute=True)
     )
     report = server.serve_trace([])
     snap = report.metrics.snapshot()

@@ -105,7 +105,7 @@ def test_sustained_overload_sheds_instead_of_growing_latency():
         for i in range(n)
     ]
     server = PrivateInferenceServer(
-        net, _config(queue_capacity=16, max_batch_wait=0.01, n_workers=1)
+        net, _config(queue_capacity=16, max_batch_wait=0.01)
     )
     report = server.serve_trace(trace)
     # Offered load far exceeds one worker's service rate: the bounded
