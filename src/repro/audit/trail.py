@@ -231,9 +231,9 @@ def load_manifest(log_dir: str | Path) -> dict:
     return json.loads(path.read_text())
 
 
-#: Config keys older manifests recorded that no longer exist; neither
-#: ever changed a served bit, so replay drops them.
-_RETIRED_CONFIG_KEYS = ("precompute", "field_backend")
+#: Config keys older manifests recorded that no longer exist; none ever
+#: changed a served bit, so replay drops them.
+_RETIRED_CONFIG_KEYS = ("precompute", "field_backend", "stage_ranker")
 
 
 def manifest_config(manifest: dict) -> DarKnightConfig:

@@ -179,19 +179,14 @@ def _serve_parser() -> argparse.ArgumentParser:
         "--slo-budget", action="append", default=None, metavar="CLASS=MS",
         help="define an SLO class with an end-to-end latency budget in"
              " milliseconds (repeatable, e.g. --slo-budget premium=5);"
-             " tighter budgets get higher admission priority",
+             " tighter budgets get higher admission priority and the"
+             " pipeline executor runs their windows first",
     )
     parser.add_argument(
         "--slo-class", action="append", default=None, metavar="TENANT=CLASS",
         help="assign a tenant to an SLO class defined with --slo-budget"
              " (repeatable, e.g. --slo-class tenant0=premium); unassigned"
              " tenants keep the budget-less default class",
-    )
-    parser.add_argument(
-        "--stage-ranker", default=None, choices=["earliest", "deadline"],
-        help="pipeline executor task-selection policy: 'earliest' (classic"
-             " earliest-start/decode-first) or 'deadline' (tightest remaining"
-             " SLO budget first); decoded values are bit-identical either way",
     )
     parser.add_argument(
         "--num-shards", type=int, default=None,
@@ -343,7 +338,6 @@ _SUPERSEDED_FLAGS = (
     ("--virtual-batch", "virtual_batch"),
     ("--batch-wait", "batch_wait"),
     ("--pipeline-depth", "pipeline_depth"),
-    ("--stage-ranker", "stage_ranker"),
     ("--num-shards", "num_shards"),
     ("--partition", "partition"),
     ("--queue-capacity", "queue_capacity"),
@@ -397,7 +391,6 @@ def _config_from_flags(args):
             {
                 "virtual_batch_size": args.virtual_batch,
                 "pipeline_depth": args.pipeline_depth,
-                "stage_ranker": args.stage_ranker,
                 "num_shards": args.num_shards,
                 "epc_budget_bytes": args.epc_budget,
             }
@@ -451,11 +444,6 @@ def _serve(args) -> int:
         config = _load_serving_config(args.config)
     else:
         config = _config_from_flags(args)
-    if config.slo is None and config.darknight.stage_ranker == "deadline":
-        raise ConfigurationError(
-            "--stage-ranker deadline needs SLO budgets to rank on"
-            " (add --slo-budget class=ms)"
-        )
 
     autoscale = config.autoscale
     tuning = (
@@ -540,7 +528,7 @@ def _serve(args) -> int:
             + (f" <- {', '.join(row['tenants'])}" if row["tenants"] else "")
             for row in config.slo.class_table()
         )
-        print(f"SLO classes ({dk.stage_ranker} ranker): {classes}")
+        print(f"SLO classes: {classes}")
     print(report.render())
     audit = config.audit
     if audit is not None and audit.log_dir is not None:

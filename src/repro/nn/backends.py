@@ -78,8 +78,8 @@ class StagedLinearBackend(LinearBackend, Protocol):
     pipeline scheduler (:class:`repro.pipeline.PipelineExecutor`) can
     interleave them across virtual batches — encode batch ``n+1`` in the
     enclave while batch ``n``'s shares run on the GPUs.  The blocking calls
-    remain available and MUST be bit-identical to driving the stages
-    back-to-back (``pipeline_depth=1``).
+    remain available (training drives them) and MUST be bit-identical to
+    driving the stages back-to-back.
 
     The ``vb``/ticket/future types are duck-typed here to keep the layer
     package free of pipeline imports; the canonical implementations live in

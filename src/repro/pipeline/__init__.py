@@ -8,24 +8,18 @@ cost model and the serialized enclave clock (:mod:`repro.pipeline.timing`),
 and the event-driven :class:`~repro.pipeline.executor.PipelineExecutor`
 that interleaves stages across in-flight virtual batches.
 
-Scheduling policy is pluggable by construction — adaptive batching and
-multi-enclave sharding slot in as alternative stage schedulers rather than
-rewrites of the execution path.
+The executor is the repository's only scheduler: every private inference
+(engine batches, serving windows, layer-partition stage ranges) runs
+through it, ranked by one built-in key — earliest feasible start, then
+tightest SLO deadline, then decodes before encodes, then oldest job.
 
-Relationship to :mod:`repro.perf`: that package *predicts* schedules from
-analytical architecture specs (the paper's tables/figures); this package
-*executes* real masked compute and accounts the stages it actually ran.
-The two answer different questions and deliberately do not share state.
+Relationship to :mod:`repro.perf`: that package *predicts* per-phase
+times from analytical architecture specs (the paper's tables/figures);
+this package *executes* real masked compute and accounts the stages it
+actually ran.
 """
 
 from repro.pipeline.executor import GroupResult, PipelineExecutor, PipelineResult
-from repro.pipeline.ranker import (
-    STAGE_RANKERS,
-    DeadlineAwareRanker,
-    EarliestStartRanker,
-    StageRanker,
-    build_ranker,
-)
 from repro.pipeline.stages import (
     EncodeTicket,
     GpuFuture,
@@ -39,11 +33,6 @@ __all__ = [
     "PipelineExecutor",
     "PipelineResult",
     "GroupResult",
-    "StageRanker",
-    "EarliestStartRanker",
-    "DeadlineAwareRanker",
-    "STAGE_RANKERS",
-    "build_ranker",
     "StagedLinearOp",
     "EncodeTicket",
     "GpuFuture",

@@ -8,14 +8,17 @@ the enclave encodes job ``n+1``'s next layer (or decodes whichever future
 completed first), so enclave and accelerator time overlap instead of
 serializing.
 
-Scheduling policy: pluggable (:mod:`repro.pipeline.ranker`).  The default
-:class:`~repro.pipeline.ranker.EarliestStartRanker` runs, among all
-runnable enclave tasks, the one that can start earliest on the simulated
-clock; ties break toward decodes (freeing GPU results keeps the pipe
-draining) and then toward older jobs.  The deadline-aware ranker instead
-runs the job carrying the tightest remaining SLO deadline first.  With
-``pipeline_depth=1`` exactly one job is in flight and every ranker
-collapses to the classic synchronous order.
+Scheduling policy: one built-in key (:meth:`PipelineExecutor._task_rank`).
+Among all in-flight jobs, the enclave runs the task that can start
+earliest on the simulated clock; among equally-early tasks the job with
+the tightest SLO deadline goes first (jobs without an SLO carry ``inf``,
+so the deadline never reorders an SLO-free schedule); remaining ties
+break toward decodes (freeing GPU results keeps the pipe draining) and
+then toward older jobs.  Feasibility stays primary: a tight-deadline job
+whose shares are still on the GPUs never outranks runnable work, so the
+serialized enclave does not idle waiting for a premium future.  With
+``pipeline_depth=1`` exactly one job is in flight and the schedule is the
+classic synchronous order.
 
 Real values and simulated time are deliberately decoupled: kernels execute
 eagerly in program order, but every stage *reserves* simulated intervals on
@@ -37,7 +40,6 @@ from repro.masking import iter_virtual_batches
 from repro.masking.virtual_batch import VirtualBatch
 from repro.nn.layers import BranchJoin
 from repro.nn.network import PLAN_INPUT
-from repro.pipeline.ranker import EarliestStartRanker, StageRanker
 from repro.pipeline.stages import GpuFuture, PipelineStats, StagedLinearOp, StageSpan
 from repro.pipeline.timing import DEFAULT_STAGE_COSTS, EnclaveTimeline, StageCostModel
 
@@ -129,10 +131,6 @@ class PipelineExecutor:
         The enclave's serialized clock.  Pass a shared instance to overlap
         consecutive engine batches (the serving pool does); defaults to a
         fresh clock at zero.
-    ranker:
-        The stage-scheduling policy (:mod:`repro.pipeline.ranker`).
-        Defaults to :class:`~repro.pipeline.ranker.EarliestStartRanker`,
-        the pre-refactor order; every ranker is bit-identical in values.
     """
 
     def __init__(
@@ -142,7 +140,6 @@ class PipelineExecutor:
         pipeline_depth: int = 1,
         costs: StageCostModel | None = None,
         timeline: EnclaveTimeline | None = None,
-        ranker: StageRanker | None = None,
     ) -> None:
         if pipeline_depth < 1:
             raise ConfigurationError(
@@ -159,7 +156,6 @@ class PipelineExecutor:
         self.pipeline_depth = pipeline_depth
         self.costs = costs or DEFAULT_STAGE_COSTS
         self.timeline = timeline or EnclaveTimeline()
-        self.ranker = ranker or EarliestStartRanker()
         # Backends exposing the precompute interface get their mask pools
         # refilled during enclave idle gaps (the ``stage_precompute`` op).
         self._can_refill = callable(
@@ -215,8 +211,8 @@ class PipelineExecutor:
         deadline)``, or ``(batch, release_time, deadline,
         transfer_bytes)``; a group's rows split into virtual batches
         (jobs) released at the group's time and carrying the group's SLO
-        deadline (``inf`` when omitted — only the deadline-aware ranker
-        reads it).  All jobs — across groups — share the in-flight
+        deadline (``inf`` when omitted — the rank's tie-break among
+        equally-early tasks).  All jobs — across groups — share the in-flight
         window, so the enclave encodes group ``n+1``'s first layer while
         group ``n``'s shares are still on the GPUs: this is the serving
         pool's cross-batch overlap.  Returns per-group outputs with their
@@ -228,8 +224,7 @@ class PipelineExecutor:
         rows}``); a positive ``transfer_bytes`` prices the sealed
         activation hand-off as a *transfer op* on this shard's enclave
         timeline before the first compute stage — it competes for the
-        enclave through the same :class:`~repro.pipeline.ranker
-        .StageRanker` as every other stage.
+        enclave through the same rank as every other stage.
         """
         k = self.backend.config.virtual_batch_size
         plan = self.network.execution_plan()
@@ -371,9 +366,17 @@ class PipelineExecutor:
     # task selection and execution
     # ------------------------------------------------------------------
     def _task_rank(self, job: _Job) -> tuple:
-        """Order enclave candidates through the pluggable ranker —
-        deterministic keys, so schedules are reproducible."""
-        return self.ranker.rank(job, self.timeline)
+        """Order enclave candidates; the lowest key runs next.
+
+        ``(feasible start, deadline, kind, index)`` with decodes
+        (``kind`` 0) before encodes/TEE steps/transfers (1).  Keys are
+        deterministic, so schedules are reproducible.
+        """
+        if job.future is not None:
+            ready, kind = job.future.ready_at, 0
+        else:
+            ready, kind = job.ready_at, 1
+        return (max(self.timeline.free_at, ready), job.deadline, kind, job.index)
 
     def _account(
         self,

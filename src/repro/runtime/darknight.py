@@ -17,14 +17,15 @@ This is the paper's Section 3.1 flow as a :class:`~repro.nn.backends.LinearBacke
 
 The forward flow is exposed two ways.  The classic blocking entry points
 (:meth:`DarKnightBackend.conv2d_forward` / :meth:`~DarKnightBackend.dense_forward`)
-serve training and ``pipeline_depth=1`` inference.  Underneath, the flow is
-split into three explicitly schedulable stage ops —
+serve training, whose backward pass reuses the stored forward encodings.
+Underneath, the flow is split into three explicitly schedulable stage ops —
 :meth:`~DarKnightBackend.encode` → :meth:`~DarKnightBackend.dispatch` →
 :meth:`~DarKnightBackend.decode` — which
 :class:`repro.pipeline.PipelineExecutor` interleaves across virtual batches
 so the enclave encodes batch ``n+1`` while GPUs compute batch ``n`` (the
-paper's Fig. 7 threading argument).  Both paths share the same code and are
-bit-identical: masking decodes exactly, so stage order never changes values.
+paper's Fig. 7 threading argument); every private inference runs through
+it.  Both paths share the same code and are bit-identical: masking decodes
+exactly, so stage order never changes values.
 
 Plugging this backend into any :class:`~repro.nn.network.Sequential` makes
 its linear layers private without touching model code.
@@ -361,8 +362,8 @@ class DarKnightBackend:
         return y[: ticket.n_real]
 
     def _masked_forward(self, x: np.ndarray, op: StagedLinearOp) -> np.ndarray:
-        """Synchronous forward: drive the three stages back to back per
-        virtual batch (the ``pipeline_depth=1`` execution order)."""
+        """Synchronous forward for training: drive the three stages back
+        to back per virtual batch, one layer at a time."""
         outputs = [
             self.decode(self.dispatch(self.encode(op, vb, vb_index)))
             for vb_index, vb in enumerate(

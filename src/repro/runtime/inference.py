@@ -5,25 +5,22 @@ pass and inference are similar in terms of encoding and decoding
 functions"), so the engine is a thin orchestration over the DarKnight
 backend in inference mode, with optional per-layer integrity verification.
 
-Execution is staged: the engine owns a
-:class:`~repro.pipeline.executor.PipelineExecutor` that walks the network's
-execution plan with up to ``pipeline_depth`` virtual batches in flight.
-``pipeline_depth=1`` keeps the classic synchronous path (and
-:meth:`PrivateInferenceEngine.run_batch` then drives the network's forward
-loop directly, exactly as before); deeper pipelines overlap enclave
-encode/decode with GPU compute.  All depths produce bit-identical logits —
-masking decodes exactly, so stage order never changes values.
+Execution is staged: every batch runs through the engine's
+:class:`~repro.pipeline.executor.PipelineExecutor`, which walks the
+network's execution plan with up to ``config.pipeline_depth`` virtual
+batches in flight.  ``pipeline_depth=1`` is the classic synchronous
+schedule; deeper pipelines overlap enclave encode/decode with GPU compute.
+All depths produce bit-identical logits — masking decodes exactly, so
+stage order never changes values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.nn import Sequential
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.pipeline.executor import GroupResult, PipelineExecutor
-from repro.pipeline.ranker import build_ranker
 from repro.pipeline.stages import PipelineStats
 from repro.pipeline.timing import EnclaveTimeline, StageCostModel
 from repro.runtime.config import DarKnightConfig
@@ -43,9 +40,8 @@ class PrivateInferenceEngine:
         Fig. 6a).  ``pipeline_depth`` sets how many virtual batches the
         executor keeps in flight.
     backend:
-        Optionally share an existing backend (e.g. to reuse its cluster).
-    pipeline_depth:
-        Overrides ``config.pipeline_depth`` when given.
+        Optionally share an existing backend (e.g. to reuse its cluster);
+        its config then supplies ``pipeline_depth``.
     stage_costs:
         Simulated-time pricing for the pipeline stages (timed runs).
     timeline:
@@ -59,62 +55,31 @@ class PrivateInferenceEngine:
         network: Sequential,
         config: DarKnightConfig | None = None,
         backend: DarKnightBackend | None = None,
-        pipeline_depth: int | None = None,
         stage_costs: StageCostModel | None = None,
         timeline: EnclaveTimeline | None = None,
     ) -> None:
         self.network = network
         self.backend = backend or DarKnightBackend(config or DarKnightConfig())
-        depth = (
-            pipeline_depth
-            if pipeline_depth is not None
-            else self.backend.config.pipeline_depth
-        )
-        if depth < 1:
-            raise ConfigurationError(f"pipeline depth must be >= 1, got {depth}")
-        self.pipeline_depth = depth
         self.timeline = timeline or EnclaveTimeline()
         self.executor = PipelineExecutor(
             network,
             self.backend,
-            pipeline_depth=depth,
+            pipeline_depth=self.backend.config.pipeline_depth,
             costs=stage_costs,
             timeline=self.timeline,
-            ranker=build_ranker(self.backend.config.stage_ranker),
         )
 
     def run_batch(self, x: np.ndarray) -> np.ndarray:
-        """Run one pre-formed batch through the masked pipeline.
+        """Run one pre-formed batch through the staged executor.
 
-        The reusable single-batch entry point serving workers call.  At
-        ``pipeline_depth=1`` this is the classic synchronous forward; at
-        deeper settings the staged executor interleaves virtual batches.
-        Either way the backend's stored encodings are released on every
-        exit path — including decode/integrity failures and pipeline
-        aborts mid-network — and the release is asserted, so a byzantine
-        batch cannot wedge (or leak into) the next one.
+        The reusable single-batch entry point (audit replay and
+        :meth:`predict` call it).  The backend's stored encodings are
+        released on every exit path — including decode/integrity failures
+        and pipeline aborts mid-network — and the release is asserted, so
+        a byzantine batch cannot wedge (or leak into) the next one.
         """
         try:
-            if self.pipeline_depth == 1:
-                return self.network.forward(x, self.backend, training=False)
             return self.executor.run(x).output
-        finally:
-            self.backend.end_batch()
-            self.backend.assert_encodings_released()
-
-    def run_batch_timed(
-        self, x: np.ndarray, release_time: float = 0.0
-    ) -> tuple[np.ndarray, PipelineStats]:
-        """Like :meth:`run_batch` but through the staged executor at every
-        depth, returning per-stage simulated timings.
-
-        ``release_time`` is when the batch became available on the
-        simulated clock; the serving pool passes each batch's flush time
-        so consecutive batches overlap on the shared timeline.
-        """
-        try:
-            result = self.executor.run(x, release_time=release_time)
-            return result.output, result.stats
         finally:
             self.backend.end_batch()
             self.backend.assert_encodings_released()

@@ -30,7 +30,7 @@ loses on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -68,10 +68,6 @@ class AutoscaleConfig:
     attainment_floor:
         Optional SLO-attainment fraction; dropping below it counts as
         overload pressure even when the queues look healthy.
-    max_session_migrations:
-        Optional cap forwarded to
-        :meth:`~repro.sharding.ShardRouter.add_shard` bounding how many
-        pinned tenants one scale-out may move.
     epc_pool_bytes:
         Optional total EPC budget shared by the deployment; when set,
         each membership change re-fits the virtual-batch size ``K``
@@ -91,7 +87,6 @@ class AutoscaleConfig:
     breaches_to_scale_in: int = 4
     ewma_alpha: float = 0.5
     attainment_floor: float | None = None
-    max_session_migrations: int | None = None
     epc_pool_bytes: int | None = None
 
     def __post_init__(self) -> None:

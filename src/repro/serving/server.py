@@ -136,8 +136,9 @@ class ServingConfig:
         Optional :class:`~repro.serving.slo.SloPolicy` threading
         per-tenant service classes through the whole request path:
         class-aware eviction at admission, minimum-remaining-budget
-        flush deadlines, deadline-carrying dispatch windows (pair with
-        ``darknight.stage_ranker="deadline"`` to rank on them),
+        flush deadlines, deadline-carrying dispatch windows (the
+        pipeline executor runs the tightest deadline first among
+        equally-early stages),
         SLO-aware shard placement, and per-class latency metrics.
         ``None`` — or a policy whose every class is the default — keeps
         the server bit-identical to previous releases.
@@ -775,12 +776,7 @@ class PrivateInferenceServer:
         shard.provisioned_at = now
         self.shards.append(shard)
         self.mesh.extend(shard)
-        max_migrations = (
-            self.autoscale_config.max_session_migrations
-            if self.autoscale_config is not None
-            else None
-        )
-        ring_id, remap = self.router.add_shard(max_migrations=max_migrations)
+        ring_id, remap = self.router.add_shard()
         if ring_id != shard_id:
             raise ShardError(
                 f"router shard id {ring_id} out of sync with deployment"

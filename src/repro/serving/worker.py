@@ -77,8 +77,8 @@ class InferenceWorkerPool:
         Optional :class:`~repro.serving.slo.SloPolicy`.  When set, each
         dispatched batch carries the tightest remaining end-to-end
         deadline among its requests (``arrival + budget``), which the
-        deadline-aware stage ranker uses to spend the serialized enclave
-        on premium windows first.  ``None`` dispatches without
+        pipeline executor's rank uses to spend the serialized enclave on
+        premium windows first.  ``None`` dispatches without
         deadlines — the classic schedule.  Failover also becomes
         budget-aware: requests whose class budget is already exhausted at
         the failure frontier are failed immediately (and counted in

@@ -298,9 +298,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # dynamic membership
     # ------------------------------------------------------------------
-    def add_shard(
-        self, weight: float = 1.0, max_migrations: int | None = None
-    ) -> tuple[int, dict[str, int]]:
+    def add_shard(self, weight: float = 1.0) -> tuple[int, dict[str, int]]:
         """Insert a new shard into the live ring with bounded re-pinning.
 
         The new shard gets the next monotonic id (failed and retired ids
@@ -310,8 +308,8 @@ class ShardRouter:
         updated ring says the new shard is now their candidate — about
         ``pins / n_placeable`` tenants for unit weight — topped up from
         the heaviest shard while the load gap exceeds
-        ``rebalance_margin``, with the total move count capped by
-        ``max_migrations`` (default: ``ceil(pins / n_placeable)``).
+        ``rebalance_margin``, with the total move count capped at
+        ``ceil(pins / n_placeable)``.
 
         Returns ``(shard_id, remap)`` where ``remap`` maps each moved
         tenant to the new shard, in deterministic first-pinned order, so
@@ -329,8 +327,7 @@ class ShardRouter:
             self._ring_keys.insert(at, key)
             self._ring_shards.insert(at, shard_id)
         n_placeable = len(self.placeable_shards())
-        if max_migrations is None:
-            max_migrations = math.ceil(len(self._pins) / max(1, n_placeable))
+        max_migrations = math.ceil(len(self._pins) / max(1, n_placeable))
         remap: dict[str, int] = {}
         # Pass 1: tenants whose ring candidate the new shard now is.
         for tenant, pinned in list(self._pins.items()):

@@ -120,14 +120,16 @@ def test_precompute_commits_the_same_config_digest_and_roots():
 
 
 def test_manifest_with_retired_config_keys_still_replays(tmp_path):
-    """Manifests written while ``precompute`` and ``field_backend`` were
-    DarKnightConfig fields still rebuild the config and replay; any other
-    unknown key is still refused."""
+    """Manifests written while ``precompute``, ``field_backend`` and
+    ``stage_ranker`` were DarKnightConfig fields still rebuild the config
+    and replay; any other unknown key is still refused."""
     trace = synthetic_trace(16, (16,), n_tenants=3, mean_interarrival=1e-4, seed=9)
     audit = AuditConfig(log_dir=str(tmp_path), model="tiny")
     server, _ = _serve(trace, audit=audit, num_shards=2)
     manifest = load_manifest(tmp_path)
-    manifest["darknight"].update(precompute=True, field_backend="limb")
+    manifest["darknight"].update(
+        precompute=True, field_backend="limb", stage_ranker="earliest"
+    )
     old = manifest_config(manifest)
     assert old == server.darknight
     entry = AuditLog.load(tmp_path / "shard0.audit.jsonl").entries[0]

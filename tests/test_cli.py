@@ -194,12 +194,11 @@ def test_serve_subcommand_with_slo_classes(capsys):
             "serve", "--model", "tiny", "--requests", "24",
             "--slo-budget", "premium=5",
             "--slo-class", "tenant0=premium",
-            "--stage-ranker", "deadline",
         ]
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "SLO classes (deadline ranker)" in out
+    assert "SLO classes: " in out
     assert "premium=5.0ms <- tenant0" in out
     assert "SLO attainment" in out
 
@@ -217,12 +216,6 @@ def test_serve_rejects_malformed_slo_flags(capsys):
     rc = main(["serve", "--model", "tiny", "--slo-budget", "premium=fast"])
     assert rc == 2
     assert "milliseconds" in capsys.readouterr().err
-
-
-def test_serve_rejects_deadline_ranker_without_slo(capsys):
-    rc = main(["serve", "--model", "tiny", "--stage-ranker", "deadline"])
-    assert rc == 2
-    assert "--slo-budget" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +377,7 @@ def test_serve_superseded_flags_are_rejected_with_config(capsys):
     assert "--config" in err
 
 
-@pytest.mark.parametrize("flag", ["--workers", "--field-backend"])
+@pytest.mark.parametrize("flag", ["--workers", "--field-backend", "--stage-ranker"])
 def test_serve_retired_flags_are_rejected(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--requests", "8", flag, "limb", "--seed", "0"])

@@ -1,17 +1,26 @@
 """Tests for the staged pipeline engine: encode/dispatch/decode scheduling.
 
-Covers the three load-bearing claims of the refactor:
+Covers the load-bearing claims of the staged executor:
 
 1. pipelined execution is *bit-identical* to the synchronous path at every
    depth (masking decodes exactly, so schedule order cannot change logits);
 2. with a compute-heavy model, overlapping enclave encode/decode with GPU
    kernels shortens the simulated makespan;
 3. encodings are released on every exit path — including aborts mid-network
-   — and ``end_batch`` is idempotent.
+   — and ``end_batch`` is idempotent;
+4. the schedule keeps its bounds: depth 1 is the sum of enclave and GPU
+   busy time, a full pipeline never beats the busier of the two, and the
+   built-in rank puts feasibility first, then the tightest deadline.
 """
+
+import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, IntegrityError
 from repro.fieldmath import PrimeField
@@ -78,15 +87,17 @@ def test_pipelined_logits_bit_identical_to_sync(depth, nprng):
 def test_engine_run_batch_bit_identical_across_depths(nprng):
     net = _mixed_net()
     x = nprng.normal(size=(9, 2, 8, 8))
-    logits = []
+    sync = DarKnightBackend(DarKnightConfig(virtual_batch_size=4, seed=3))
+    logits = [net.forward(x, sync, training=False)]
+    sync.end_batch()
     for depth in (1, 2, 3):
         engine = PrivateInferenceEngine(
-            net, DarKnightConfig(virtual_batch_size=4, seed=3), pipeline_depth=depth
+            net, DarKnightConfig(virtual_batch_size=4, seed=3, pipeline_depth=depth)
         )
         logits.append(engine.run_batch(x))
         engine.backend.assert_encodings_released()
-    assert np.array_equal(logits[0], logits[1])
-    assert np.array_equal(logits[0], logits[2])
+    for other in logits[1:]:
+        assert np.array_equal(logits[0], other)
 
 
 def test_execution_plan_marks_offloaded_steps():
@@ -342,8 +353,10 @@ def test_pipeline_abort_mid_network_releases_all_encodings(nprng):
         (1, 6, 6),
     )
     for depth in (1, 3):
-        backend = DarKnightBackend(cfg, cluster=cluster)
-        engine = PrivateInferenceEngine(net, backend=backend, pipeline_depth=depth)
+        backend = DarKnightBackend(
+            dataclasses.replace(cfg, pipeline_depth=depth), cluster=cluster
+        )
+        engine = PrivateInferenceEngine(net, backend=backend)
         with pytest.raises(IntegrityError):
             engine.run_batch(nprng.normal(size=(4, 1, 6, 6)))
         # run_batch's finally already ran end_batch + the release assert;
@@ -376,86 +389,71 @@ def test_enclave_timeline_is_serialized():
 
 
 # ----------------------------------------------------------------------
-# pluggable stage rankers
+# the built-in ranking key
 # ----------------------------------------------------------------------
-def test_deadline_ranker_bit_identical_and_reorders_the_schedule(nprng):
-    """The deadline-aware ranker runs the tightest-budget group's stages
-    first, yet decodes the exact same values as the default ranker."""
-    from repro.pipeline import DeadlineAwareRanker, build_ranker
+class _DeadlineBlindExecutor(PipelineExecutor):
+    """The pre-SLO order: earliest start, decode-first, oldest job."""
 
+    def _task_rank(self, job):
+        start, _, kind, index = super()._task_rank(job)
+        return (start, kind, index)
+
+
+def test_deadline_ranker_bit_identical_and_reorders_the_schedule(nprng):
+    """The tightest-deadline group's stages run first, yet decode the
+    exact same values as the same window without deadlines."""
     net = _conv_heavy_net()
     costs = StageCostModel(gpu_mac_throughput=7e8)
     x1 = nprng.normal(size=(4, 4, 12, 12))
     x2 = nprng.normal(size=(4, 4, 12, 12))
 
-    def run(ranker):
+    def run(deadline):
         backend = _backend(seed=7)
-        executor = PipelineExecutor(
-            net, backend, pipeline_depth=4, costs=costs, ranker=ranker
-        )
-        # Group 0 released first but budget-less; group 1 carries a
+        executor = PipelineExecutor(net, backend, pipeline_depth=4, costs=costs)
+        # Group 0 released first but budget-less; group 1 may carry a
         # tight deadline.
-        groups, stats = executor.run_grouped(
-            [(x1, 0.0), (x2, 0.0, 0.001)]
-        )
+        groups, _ = executor.run_grouped([(x1, 0.0), (x2, 0.0, deadline)])
         backend.end_batch()
-        return groups, stats
+        return groups
 
-    default_groups, _ = run(None)
-    deadline_groups, _ = run(build_ranker("deadline"))
+    plain = run(math.inf)
+    ranked = run(0.001)
     # Bit-identical decoded outputs, whatever the schedule did.
-    for a, b in zip(default_groups, deadline_groups):
+    for a, b in zip(plain, ranked):
         assert np.array_equal(a.output, b.output)
-    # The deadline-carrying group finishes no later than under the
-    # default order (here strictly earlier: it runs first).
-    assert deadline_groups[1].finish <= default_groups[1].finish
-    assert deadline_groups[1].finish < deadline_groups[0].finish
-    assert isinstance(build_ranker("deadline"), DeadlineAwareRanker)
+    # The deadline-carrying group finishes no later than without its
+    # deadline (here strictly earlier: it runs first).
+    assert ranked[1].finish <= plain[1].finish
+    assert ranked[1].finish < ranked[0].finish
+    assert plain[1].finish > plain[0].finish
 
 
 def test_default_ranker_without_deadlines_matches_legacy_schedule(nprng):
     """2-tuple items and 3-tuple items with inf deadlines schedule the
-    same spans under both shipped rankers."""
-    import math
+    same spans as the deadline-blind pre-SLO order, at every depth."""
+    net = _conv_heavy_net()
+    costs = StageCostModel(gpu_mac_throughput=7e8)
+    x1 = nprng.normal(size=(8, 4, 12, 12))
+    x2 = nprng.normal(size=(4, 4, 12, 12))
 
-    from repro.pipeline import build_ranker
-
-    net = _mixed_net()
-    x = nprng.normal(size=(8, 2, 8, 8))
-
-    def spans(ranker, with_inf):
+    def spans(executor_cls, items, depth):
         backend = _backend(seed=5)
-        executor = PipelineExecutor(
-            net, backend, pipeline_depth=2, ranker=ranker
-        )
-        items = [(x, 0.0, math.inf)] if with_inf else [(x, 0.0)]
+        executor = executor_cls(net, backend, pipeline_depth=depth, costs=costs)
         _, stats = executor.run_grouped(items)
         backend.end_batch()
         return [(s.job, s.layer, s.stage, s.start, s.end) for s in stats.spans]
 
-    legacy = spans(None, with_inf=False)
-    assert spans(build_ranker("earliest"), with_inf=True) == legacy
-    assert spans(build_ranker("deadline"), with_inf=True) == legacy
-
-
-def test_unknown_ranker_names_are_rejected():
-    from repro.pipeline import build_ranker
-
-    with pytest.raises(ConfigurationError):
-        build_ranker("fifo")
-    with pytest.raises(ConfigurationError):
-        DarKnightConfig(stage_ranker="fifo")
+    for depth in (1, 2, 4):
+        legacy = spans(_DeadlineBlindExecutor, [(x1, 0.0), (x2, 1e-4)], depth)
+        assert spans(PipelineExecutor, [(x1, 0.0), (x2, 1e-4)], depth) == legacy
+        inf_items = [(x1, 0.0, math.inf), (x2, 1e-4, math.inf)]
+        assert spans(PipelineExecutor, inf_items, depth) == legacy
 
 
 def test_deadline_ranker_keeps_feasibility_primary():
     """A blocked tight-deadline job must not outrank runnable work — the
     serialized enclave never idles waiting for a premium GPU future."""
-    import math
-    from types import SimpleNamespace
-
-    from repro.pipeline import DeadlineAwareRanker
-
-    tl = EnclaveTimeline()  # free_at = 0
+    executor = PipelineExecutor(_mixed_net(), _backend())  # free_at = 0
     blocked_premium = SimpleNamespace(
         future=SimpleNamespace(ready_at=5.0), ready_at=0.0, index=0, deadline=0.001
     )
@@ -465,8 +463,164 @@ def test_deadline_ranker_keeps_feasibility_primary():
     runnable_premium = SimpleNamespace(
         future=None, ready_at=0.0, index=2, deadline=0.001
     )
-    ranker = DeadlineAwareRanker()
+    rank = executor._task_rank
     # Runnable work beats the blocked premium job...
-    assert ranker.rank(runnable_bulk, tl) < ranker.rank(blocked_premium, tl)
+    assert rank(runnable_bulk) < rank(blocked_premium)
     # ...and among equally-runnable tasks the tightest deadline wins.
-    assert ranker.rank(runnable_premium, tl) < ranker.rank(runnable_bulk, tl)
+    assert rank(runnable_premium) < rank(runnable_bulk)
+    # Without deadlines, a ready decode goes before an encode.
+    ready_decode = SimpleNamespace(
+        future=SimpleNamespace(ready_at=0.0), ready_at=0.0, index=3, deadline=math.inf
+    )
+    assert rank(ready_decode) < rank(runnable_bulk)
+
+
+# ----------------------------------------------------------------------
+# schedule bounds: depth-1 sum, pipelined bottleneck, overlap-free lanes
+# ----------------------------------------------------------------------
+#: Balanced SGX-vs-GPU operating point: a conv share's kernel rivals its
+#: encode+decode (the regime the paper's Fig. 7 overlap targets).
+OVERLAP_COSTS = StageCostModel(stage_overhead=5e-5, gpu_mac_throughput=1e9)
+
+
+def _vgg_style_net(seed=0, width=16):
+    """Eight 3x3 conv layers in two VGG blocks plus a dense head."""
+    rng = np.random.default_rng(seed)
+    layers = [Conv2D(3, width, 3, 1, 1, rng=rng), ReLU()]
+    for _ in range(3):
+        layers += [Conv2D(width, width, 3, 1, 1, rng=rng), ReLU()]
+    layers += [MaxPool2D(2)]
+    for _ in range(4):
+        layers += [Conv2D(width, width, 3, 1, 1, rng=rng), ReLU()]
+    layers += [Flatten(), Dense(width * 8 * 8, 10, rng=rng)]
+    return Sequential(layers, (3, 16, 16))
+
+
+def _run_stats(net, n_batches, depth, costs, input_shape, seed=7):
+    """Schedule ``n_batches`` virtual batches at ``depth``; output + stats."""
+    x = np.random.default_rng(1).normal(size=(4 * n_batches,) + input_shape)
+    backend = _backend(seed=seed)
+    result = PipelineExecutor(net, backend, pipeline_depth=depth, costs=costs).run(x)
+    backend.end_batch()
+    backend.assert_encodings_released()
+    return result.output, result.stats
+
+
+def _assert_lanes_serialized(stats):
+    """No two spans on the enclave lane (or on the GPU lane) overlap."""
+    for resource in ("enclave", "gpu"):
+        intervals = sorted(
+            (s.start, s.end) for s in stats.spans if s.resource == resource
+        )
+        for (_, end), (start, _) in zip(intervals, intervals[1:]):
+            assert start >= end - 1e-12, f"{resource} double-booked"
+
+
+def _assert_stage_order(stats):
+    """Each job's layer runs encode -> gpu -> decode, layers in order."""
+    by_job: dict[int, list] = {}
+    for span in stats.spans:
+        by_job.setdefault(span.job, []).append(span)
+    for job, spans in by_job.items():
+        if job < 0:
+            continue  # weight staging / pool refills belong to no job
+        for before, after in zip(spans, spans[1:]):
+            assert after.start >= before.end - 1e-12, (job, before, after)
+
+
+def test_depth_one_makespan_is_enclave_plus_gpu_busy():
+    """Depth 1 serializes everything: the makespan is the enclave's busy
+    time plus the busiest GPU's (about 2.58 + 2.66 ms per virtual batch)."""
+    net = _vgg_style_net()
+    for n in (1, 3):
+        _, stats = _run_stats(net, n, 1, OVERLAP_COSTS, (3, 16, 16))
+        assert stats.makespan == pytest.approx(stats.enclave_busy + stats.gpu_busy)
+        _assert_lanes_serialized(stats)
+
+
+def test_pipelined_makespan_is_within_the_bottleneck_bound():
+    """With every virtual batch in flight, the makespan never beats the
+    busier resource and, from 6 batches on, stays within 1.3x of it."""
+    net = _vgg_style_net()
+    for n in (2, 6, 16):
+        _, stats = _run_stats(net, n, n, OVERLAP_COSTS, (3, 16, 16))
+        bound = max(stats.enclave_busy, stats.gpu_busy)
+        assert stats.makespan >= bound - 1e-12
+        if n >= 6:
+            assert stats.makespan <= 1.3 * bound, (n, stats.makespan / bound)
+
+
+def test_bottleneck_utilisation_approaches_one():
+    """Adding virtual batches amortises the pipeline fill: per-batch
+    makespan never grows, and by 16 batches the busier lane (the GPU at
+    this operating point) is busy over 90% of the makespan."""
+    net = _vgg_style_net()
+    _, serial = _run_stats(net, 1, 1, OVERLAP_COSTS, (3, 16, 16))
+    per_batch = [serial.makespan]
+    for n in (2, 6, 16):
+        _, stats = _run_stats(net, n, n, OVERLAP_COSTS, (3, 16, 16))
+        assert stats.makespan / n <= per_batch[-1] + 1e-12
+        per_batch.append(stats.makespan / n)
+    assert stats.gpu_busy / stats.makespan > 0.9
+    assert stats.enclave_busy / stats.makespan < stats.gpu_busy / stats.makespan
+
+
+def test_pipelined_never_slower_than_depth_one():
+    """A full-depth pipeline never takes longer than the serialized
+    depth-1 schedule; with one virtual batch the two coincide."""
+    net = _vgg_style_net()
+    for n in (1, 2, 6, 16):
+        _, serial = _run_stats(net, n, 1, OVERLAP_COSTS, (3, 16, 16))
+        _, piped = _run_stats(net, n, n, OVERLAP_COSTS, (3, 16, 16))
+        assert piped.makespan <= serial.makespan + 1e-12
+        if n == 1:
+            assert piped.makespan == pytest.approx(serial.makespan)
+
+
+def test_enclave_and_gpu_spans_never_overlap():
+    _, stats = _run_stats(_vgg_style_net(), 6, 6, OVERLAP_COSTS, (3, 16, 16))
+    _assert_lanes_serialized(stats)
+
+
+def test_stage_spans_respect_encode_gpu_decode_order():
+    _, stats = _run_stats(_vgg_style_net(), 6, 6, OVERLAP_COSTS, (3, 16, 16))
+    _assert_stage_order(stats)
+    stages = [s.stage for s in stats.spans if s.job == 0]
+    assert stages[:4] == ["encode", "gpu", "decode", "tee"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    bandwidth=st.floats(1e8, 1e10),
+    gpu_mac_throughput=st.floats(1e8, 1e10),
+    stage_overhead=st.floats(0.0, 1e-3),
+    gpu_launch_overhead=st.floats(0.0, 1e-3),
+    maskgen_bandwidth=st.none() | st.floats(1e8, 1e10),
+    n=st.integers(1, 4),
+)
+def test_schedule_invariants_hold_for_any_stage_costs(
+    bandwidth, gpu_mac_throughput, stage_overhead, gpu_launch_overhead,
+    maskgen_bandwidth, n,
+):
+    """For any stage pricing: depth 1 sums the two lanes, a full-depth
+    pipeline never beats the busier lane, no lane is double-booked,
+    stages keep their order, and the values never change."""
+    costs = StageCostModel(
+        encode_bandwidth=bandwidth,
+        decode_bandwidth=bandwidth,
+        tee_bandwidth=bandwidth,
+        gpu_mac_throughput=gpu_mac_throughput,
+        stage_overhead=stage_overhead,
+        gpu_launch_overhead=gpu_launch_overhead,
+        maskgen_bandwidth=maskgen_bandwidth,
+    )
+    net = _mixed_net()
+    out_serial, serial = _run_stats(net, n, 1, costs, (2, 8, 8))
+    out_piped, piped = _run_stats(net, n, n, costs, (2, 8, 8))
+    assert np.array_equal(out_serial, out_piped)
+    assert serial.makespan == pytest.approx(serial.enclave_busy + serial.gpu_busy)
+    assert piped.makespan >= max(piped.enclave_busy, piped.gpu_busy) - 1e-12
+    assert piped.makespan <= serial.makespan + 1e-12
+    for stats in (serial, piped):
+        _assert_lanes_serialized(stats)
+        _assert_stage_order(stats)

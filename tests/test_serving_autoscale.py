@@ -29,7 +29,7 @@ from repro.serving import (
     phased_trace,
     synthetic_trace,
 )
-from repro.serving.autoscale import ACTION_SCALE_IN, ACTION_SCALE_OUT
+from repro.serving.autoscale import ACTION_SCALE_OUT
 from repro.serving.requests import PendingRequest
 from repro.sharding import ShardRouter
 
