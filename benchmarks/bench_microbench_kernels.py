@@ -4,8 +4,9 @@ Unlike the exhibit benches (which assert *modeled* shapes), these time the
 actual numpy implementations that every experiment runs on: the prime-field
 GEMM in both backends (the generic chunked oracle vs the limb-decomposed
 BLAS path) against plain float matmul, the encode/decode primitives and
-the integrity check at a realistic layer size, Vandermonde/elimination coefficient generation, and
-the batched conv-as-GEMM lowering.  Useful for regression-tracking the
+the integrity check at a realistic layer size, Vandermonde/elimination coefficient generation,
+the batched conv-as-GEMM lowering, and the channel AEAD every sealed hop
+and tenant session pays.  Useful for regression-tracking the
 simulator's own performance: CI appends the ``--benchmark-json`` output of
 this file to ``BENCH_kernels.json`` via ``benchmarks/check_regression.py``,
 which fails the build when a tracked kernel regresses.
@@ -20,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.enclave import StreamAead, derive_key
 from repro.fieldmath import FieldRng, PrimeField, field_matmul
 from repro.masking import (
     BackwardDecoder,
@@ -251,3 +253,11 @@ def test_conv2d_batched_gemm_speed(benchmark):
     w = rng.standard_normal((16, 3, 3, 3))
     out = benchmark(lambda: conv2d_via_matmul(x, w, np.matmul, stride=1, pad=1))
     assert out.shape == (8, 16, 16, 16)
+
+
+def test_aead_roundtrip_speed(benchmark):
+    """Seal + open one 16 KiB message (a sealed activation hop's size class)."""
+    aead = StreamAead(derive_key(b"bench"), np.random.default_rng(0))
+    plaintext = np.random.default_rng(1).bytes(16 * 1024)
+    out = benchmark(lambda: aead.decrypt(aead.encrypt(plaintext, aad=b"shard1")))
+    assert out == plaintext

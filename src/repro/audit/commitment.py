@@ -25,11 +25,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from binascii import b2a_base64
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
-from repro.audit.merkle import MerkleTree, leaf_digest
+from repro.audit.merkle import payload_root
 from repro.errors import AuditError
 
 #: Leaf status marking requests whose shared window aborted and was
@@ -48,47 +50,65 @@ MEMBERSHIP_KINDS = ("provision", "drain", "retire")
 # ----------------------------------------------------------------------
 # canonical serialization
 # ----------------------------------------------------------------------
+#: The canonical dtype per numpy dtype kind.
+_CANONICAL_DTYPE = {"f": "<f8", "i": "<i8", "u": "<i8", "b": "<i8"}
+
+
 def _widen(arr: np.ndarray) -> np.ndarray:
-    """Widen to the canonical platform-stable dtype (<f8 or <i8)."""
+    """Widen to the canonical platform-stable dtype (<f8 or <i8), C order.
+
+    Returns ``arr`` itself, uncopied, when it already is canonical.
+    """
     a = np.asarray(arr)
-    if a.dtype.kind == "f":
-        return a.astype("<f8")
-    if a.dtype.kind in "iub":
-        return a.astype("<i8")
-    raise AuditError(f"cannot canonically serialize dtype {a.dtype}")
+    dtype = _CANONICAL_DTYPE.get(a.dtype.kind)
+    if dtype is None:
+        raise AuditError(f"cannot canonically serialize dtype {a.dtype}")
+    return a.astype(dtype, order="C", copy=False)
 
 
-#: Digest-header cache: every request in a deployment shares one input
-#: shape (and outputs one logits width), so the header is almost always
+#: Digest-prefix cache: every request in a deployment shares one input
+#: shape (and outputs one logits width), so the prefix is almost always
 #: a dictionary hit on the serving hot path.
 _HEADER_CACHE: dict[tuple, bytes] = {}
 
 
 def _header_bytes(a: np.ndarray) -> bytes:
-    """The digest header: canonical JSON of ``{"dtype", "shape"}``.
+    """The digest prefix of a widened array: its header, then a NUL byte.
 
-    Built by hand (dtype strings and shapes are plain ASCII) so the
-    per-array digest skips a ``json.dumps`` on the serving hot path; the
-    format is byte-identical to ``canonical_json_bytes`` of the dict.
+    The header is the canonical JSON of ``{"dtype", "shape"}``, built by
+    hand (dtype strings and shapes are plain ASCII) so the per-array
+    digest skips a ``json.dumps``; the format is byte-identical to
+    ``canonical_json_bytes`` of the dict.
     """
-    key = (a.dtype.str, a.shape)
+    key = (a.dtype.kind, a.shape)
     header = _HEADER_CACHE.get(key)
     if header is None:
         shape = ",".join(str(int(s)) for s in a.shape)
-        header = f'{{"dtype":"{a.dtype.str}","shape":[{shape}]}}'.encode("ascii")
+        header = f'{{"dtype":"{a.dtype.str}","shape":[{shape}]}}\x00'.encode("ascii")
         if len(_HEADER_CACHE) < 1024:
             _HEADER_CACHE[key] = header
     return header
 
 
+def _record(a: np.ndarray) -> dict:
+    """The JSON-safe record of an already widened array."""
+    return {
+        "dtype": _CANONICAL_DTYPE[a.dtype.kind],
+        "shape": list(a.shape),
+        "data": b2a_base64(a, newline=False).decode("ascii"),
+    }
+
+
+def _digest(a: np.ndarray) -> str:
+    """SHA-256 of an already widened array's header, NUL and bytes."""
+    h = hashlib.sha256(_header_bytes(a))
+    h.update(a)
+    return h.hexdigest()
+
+
 def canonical_array(arr: np.ndarray) -> dict:
     """Serialize an array as a platform-stable JSON-safe record."""
-    a = _widen(arr)
-    return {
-        "dtype": a.dtype.str,
-        "shape": [int(s) for s in a.shape],
-        "data": base64.b64encode(a.tobytes(order="C")).decode("ascii"),
-    }
+    return _record(_widen(arr))
 
 
 def array_from_canonical(record: dict) -> np.ndarray:
@@ -113,70 +133,75 @@ def digest_json(obj) -> str:
 
 def array_digest(arr: np.ndarray) -> str:
     """Platform-stable digest of an array (header + canonical bytes)."""
-    a = _widen(arr)
-    raw = a.tobytes(order="C")
-    return hashlib.sha256(_header_bytes(a) + b"\x00" + raw).hexdigest()
-
-
-def _canonical_with_digest(arr: np.ndarray) -> tuple[dict, str]:
-    """One-pass :func:`canonical_array` + :func:`array_digest`.
-
-    The commit hot path needs both; widening and ``tobytes`` happen once
-    here instead of twice.
-    """
-    a = _widen(arr)
-    raw = a.tobytes(order="C")
-    record = {
-        "dtype": a.dtype.str,
-        "shape": [int(s) for s in a.shape],
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
-    digest = hashlib.sha256(_header_bytes(a) + b"\x00" + raw).hexdigest()
-    return record, digest
+    return _digest(_widen(arr))
 
 
 #: JSON-escaped string cache (tenant names and status identifiers recur
 #: on every leaf of a serving run).
-_STR_CACHE: dict[str, bytes] = {}
+_STR_CACHE: dict[str, str] = {}
 
 
-def _json_str(s: str) -> bytes:
-    blob = _STR_CACHE.get(s)
-    if blob is None:
-        blob = json.dumps(s, ensure_ascii=True).encode("ascii")
+def _json_str(s: str) -> str:
+    text = _STR_CACHE.get(s)
+    if text is None:
+        text = json.dumps(s, ensure_ascii=True)
         if len(_STR_CACHE) < 4096:
-            _STR_CACHE[s] = blob
-    return blob
+            _STR_CACHE[s] = text
+    return text
+
+
+def _json_float(x: float) -> str:
+    """json's float format: ``repr`` when finite, else its named constants."""
+    return repr(x) if isfinite(x) else json.dumps(x)
+
+
+def _json_opt(value) -> str:
+    """A JSON-encoded optional int or str (``null`` for ``None``)."""
+    if value is None:
+        return "null"
+    return _json_str(value) if isinstance(value, str) else str(int(value))
 
 
 def _leaf_blob(leaf: dict) -> bytes:
     """Canonical bytes of one leaf, spliced by hand.
 
     Byte-identical to :func:`canonical_json_bytes` of the dict (keys in
-    sorted order, compact separators; ``repr`` of a finite float is
-    exactly json's float format) — asserted against the generic encoder
-    in the test suite.  The splice exists because the generic encoder is
+    sorted order, compact separators; ``str`` of a list of ints is its
+    JSON once the spaces go) — asserted against the generic encoder in
+    the test suite.  The splice exists because the generic encoder is
     the single largest cost of committing a window on the serving path.
     """
     record = leaf["input"]
     output_digest = leaf["output_digest"]
-    return b"".join(
-        (
-            b'{"arrival_time":', repr(leaf["arrival_time"]).encode("ascii"),
-            b',"batch_id":', str(leaf["batch_id"]).encode("ascii"),
-            b',"input":{"data":"', record["data"].encode("ascii"),
-            b'","dtype":"', record["dtype"].encode("ascii"),
-            b'","shape":[', ",".join(map(str, record["shape"])).encode("ascii"),
-            b']},"input_digest":"', leaf["input_digest"].encode("ascii"),
-            b'","output_digest":',
-            b"null" if output_digest is None else b'"%s"' % output_digest.encode("ascii"),
-            b',"request_id":', str(leaf["request_id"]).encode("ascii"),
-            b',"retries":', str(leaf["retries"]).encode("ascii"),
-            b',"status":', _json_str(leaf["status"]),
-            b',"tenant":', _json_str(leaf["tenant"]),
-            b"}",
-        )
-    )
+    output = "null" if output_digest is None else f'"{output_digest}"'
+    shape = str(record["shape"]).replace(" ", "")
+    return (
+        f'{{"arrival_time":{_json_float(leaf["arrival_time"])},'
+        f'"batch_id":{leaf["batch_id"]},'
+        f'"input":{{"data":"{record["data"]}","dtype":"{record["dtype"]}","shape":{shape}}},'
+        f'"input_digest":"{leaf["input_digest"]}","output_digest":{output},'
+        f'"request_id":{leaf["request_id"]},"retries":{leaf["retries"]},'
+        f'"status":{_json_str(leaf["status"])},"tenant":{_json_str(leaf["tenant"])}}}'
+    ).encode("ascii")
+
+
+def canonical_meta_bytes(meta: dict) -> bytes:
+    """Canonical bytes of :meth:`WindowCommitment.meta`, spliced by hand.
+
+    Byte-identical to :func:`canonical_json_bytes` of the dict (asserted
+    in the test suite); every chained window pays this once.
+    """
+    return (
+        f'{{"aborted":{"true" if meta["aborted"] else "false"},'
+        f'"batch_ids":{str(meta["batch_ids"]).replace(" ", "")},'
+        f'"config_digest":{_json_opt(meta["config_digest"])},'
+        f'"error":{_json_opt(meta["error"])},'
+        f'"flush_time":{_json_float(meta["flush_time"])},'
+        f'"integrity":{"true" if meta["integrity"] else "false"},'
+        f'"n_requests":{meta["n_requests"]},"retries":{meta["retries"]},'
+        f'"seed":{_json_opt(meta["seed"])},"shard_id":{meta["shard_id"]},'
+        f'"status":{_json_str(meta["status"])},"window_id":{_json_opt(meta["window_id"])}}}'
+    ).encode("ascii")
 
 
 # ----------------------------------------------------------------------
@@ -248,20 +273,20 @@ class WindowCommitment:
                     f"batch {batch.batch_id}: {len(rows)} output rows for"
                     f" {len(batch.requests)} requests"
                 )
+            batch_id = int(batch.batch_id)
+            retries = int(batch.retries)
             for i, request in enumerate(batch.requests):
-                record, input_digest = _canonical_with_digest(request.x)
+                x = _widen(request.x)
                 leaf = {
                     "request_id": int(request.request_id),
                     "tenant": request.tenant,
-                    "batch_id": int(batch.batch_id),
+                    "batch_id": batch_id,
                     "arrival_time": float(request.arrival_time),
                     "status": status,
-                    "retries": int(batch.retries),
-                    "input": record,
-                    "input_digest": input_digest,
-                    "output_digest": (
-                        array_digest(rows[i]) if rows is not None else None
-                    ),
+                    "retries": retries,
+                    "input": _record(x),
+                    "input_digest": _digest(x),
+                    "output_digest": None if rows is None else array_digest(rows[i]),
                 }
                 leaves.append(leaf)
                 blobs.append(_leaf_blob(leaf))
@@ -332,14 +357,9 @@ class WindowCommitment:
         return [canonical_json_bytes(leaf) for leaf in self.leaves]
 
     @property
-    def leaf_digests(self) -> list[str]:
-        """Canonical digest per leaf, in dispatch order."""
-        return [leaf_digest(blob) for blob in self.canonical_leaf_blobs()]
-
-    @property
     def merkle_root(self) -> str:
-        """Root of the tree over :attr:`leaf_digests`."""
-        return MerkleTree(self.leaf_digests).root
+        """Root of the Merkle tree over the canonical leaf digests."""
+        return payload_root(self.canonical_leaf_blobs())
 
     def meta(self, window_id: int | None = None) -> dict:
         """The chained window metadata (everything but the leaves)."""

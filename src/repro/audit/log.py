@@ -29,9 +29,10 @@ from repro.audit.commitment import (
     MEMBERSHIP_STATUS_PREFIX,
     WindowCommitment,
     canonical_json_bytes,
+    canonical_meta_bytes,
     digest_json,
 )
-from repro.audit.merkle import MerkleTree, leaf_digest
+from repro.audit.merkle import payload_root
 from repro.errors import AuditError
 
 _CHAIN_PREFIX = b"\x02"
@@ -68,9 +69,9 @@ def _entry_from_commitment(
     order (chain_root < leaves < merkle_root < meta < prev_root).
     """
     leaf_blobs = commitment.canonical_leaf_blobs()
-    merkle_root = MerkleTree([leaf_digest(blob) for blob in leaf_blobs]).root
+    merkle_root = payload_root(leaf_blobs)
     meta = commitment.meta(window_id)
-    meta_blob = canonical_json_bytes(meta)
+    meta_blob = canonical_meta_bytes(meta)
     chain_root = chain_hash(
         prev_root, merkle_root, hashlib.sha256(meta_blob).hexdigest()
     )
@@ -192,9 +193,9 @@ class AuditLog:
                         f"window {i}: membership event names shard"
                         f" {leaves[0].get('shard_id')}, not {self.shard_id}"
                     )
-            recomputed = MerkleTree(
-                [leaf_digest(canonical_json_bytes(leaf)) for leaf in entry["leaves"]]
-            ).root
+            recomputed = payload_root(
+                [canonical_json_bytes(leaf) for leaf in entry["leaves"]]
+            )
             if recomputed != entry["merkle_root"]:
                 raise AuditError(
                     f"window {i}: leaves do not hash to the committed Merkle"

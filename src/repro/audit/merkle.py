@@ -36,10 +36,31 @@ def leaf_digest(payload: bytes) -> str:
     return hashlib.sha256(_LEAF_PREFIX + payload).hexdigest()
 
 
-def _node(left: str, right: str) -> str:
-    return hashlib.sha256(
-        _NODE_PREFIX + bytes.fromhex(left) + bytes.fromhex(right)
-    ).hexdigest()
+def _node(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(_NODE_PREFIX + left + right).digest()
+
+
+def _levels(level: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over raw leaf digests, leaves first."""
+    levels = [level]
+    while len(level) > 1:
+        parents = [_node(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            parents.append(level[-1])  # promoted, not duplicated
+        levels.append(parents)
+        level = parents
+    return levels
+
+
+def payload_root(payloads: list[bytes]) -> str:
+    """Root of the tree whose leaves are :func:`leaf_digest` of ``payloads``.
+
+    Equal to ``MerkleTree([leaf_digest(p) for p in payloads]).root``; the
+    commit path needs only the root, so it skips the hex round trip.
+    """
+    if not payloads:
+        return EMPTY_ROOT
+    return _levels([hashlib.sha256(_LEAF_PREFIX + p).digest() for p in payloads])[-1][0].hex()
 
 
 @dataclass(frozen=True)
@@ -73,15 +94,15 @@ class MerkleProof:
 
     def root(self) -> str:
         """Fold the path back up to the root this proof claims."""
-        digest = self.leaf
+        digest = bytes.fromhex(self.leaf)
         for step in self.path:
             if step.side == "left":
-                digest = _node(step.sibling, digest)
+                digest = _node(bytes.fromhex(step.sibling), digest)
             elif step.side == "right":
-                digest = _node(digest, step.sibling)
+                digest = _node(digest, bytes.fromhex(step.sibling))
             else:
                 raise AuditError(f"malformed proof step side {step.side!r}")
-        return digest
+        return digest.hex()
 
     def to_record(self) -> dict:
         return {
@@ -106,21 +127,13 @@ class MerkleTree:
 
     The full level structure is kept (windows are small — one flush
     window's requests), so building every inclusion proof is an O(log n)
-    walk with no re-hashing.
+    walk with no re-hashing.  Levels hold raw digests; hex appears only
+    at the API surface (leaves, root, proof steps).
     """
 
     def __init__(self, leaves: list[str]) -> None:
         self.leaves = [str(leaf) for leaf in leaves]
-        self._levels: list[list[str]] = [list(self.leaves)]
-        level = self._levels[0]
-        while len(level) > 1:
-            parents = []
-            for i in range(0, len(level) - 1, 2):
-                parents.append(_node(level[i], level[i + 1]))
-            if len(level) % 2:
-                parents.append(level[-1])  # promoted, not duplicated
-            self._levels.append(parents)
-            level = parents
+        self._levels = _levels([bytes.fromhex(leaf) for leaf in self.leaves])
 
     @property
     def n_leaves(self) -> int:
@@ -131,7 +144,7 @@ class MerkleTree:
         """The tree root (:data:`EMPTY_ROOT` for a zero-leaf window)."""
         if not self.leaves:
             return EMPTY_ROOT
-        return self._levels[-1][0]
+        return self._levels[-1][0].hex()
 
     def prove(self, index: int) -> MerkleProof:
         """Build the inclusion proof for the leaf at ``index``."""
@@ -145,7 +158,7 @@ class MerkleTree:
             sibling = i ^ 1
             if sibling < len(level):
                 side = "left" if sibling < i else "right"
-                path.append(ProofStep(sibling=level[sibling], side=side))
+                path.append(ProofStep(sibling=level[sibling].hex(), side=side))
             i //= 2
         return MerkleProof(
             leaf=self.leaves[index],

@@ -537,6 +537,34 @@ def test_hand_spliced_leaf_blob_matches_the_generic_encoder():
         assert _leaf_blob(leaf) == canonical_json_bytes(leaf)
 
 
+def test_hand_spliced_meta_matches_the_generic_encoder():
+    """The chained window metadata splice must equal the generic encoder
+    for optional fields unset, escaped strings and non-finite times."""
+    from repro.audit.commitment import canonical_json_bytes, canonical_meta_bytes
+
+    for window_id, batch_ids, flush_time, error, digest, seed, status in [
+        (0, [4, 5], 0.0123, None, "ab" * 32, 0, "ok"),
+        (None, [], 1e-300, 'shard "3" died\n', None, None, "aborted"),
+        (12, [7], float("inf"), "unicode-é中", "00" * 32, 2**40, "membership:drain"),
+        (3, [1, 2, 3], float("nan"), "", "ff" * 32, -1, 'we"ird'),
+    ]:
+        meta = {
+            "window_id": window_id,
+            "shard_id": 1,
+            "batch_ids": batch_ids,
+            "flush_time": flush_time,
+            "status": status,
+            "aborted": error is not None,
+            "retries": 2,
+            "n_requests": 5,
+            "integrity": seed is not None,
+            "error": error,
+            "config_digest": digest,
+            "seed": seed,
+        }
+        assert canonical_meta_bytes(meta) == canonical_json_bytes(meta)
+
+
 def test_entry_lines_on_disk_match_a_generic_json_dump(tmp_path):
     """The spliced JSONL line must parse back to exactly the in-memory
     entry (and re-dump identically), or recovery tooling would diverge."""

@@ -1,10 +1,12 @@
 """Tests for sealing and the untrusted blob store."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.enclave import Sealer, UntrustedStore, measure_enclave
-from repro.errors import SealingError
+from repro.errors import CommunicationError, SealingError
 
 
 @pytest.fixture()
@@ -16,6 +18,27 @@ def test_seal_unseal_roundtrip(sealer, nprng):
     arr = nprng.normal(size=(4, 7))
     blob = sealer.seal(arr, label=b"gradients")
     assert np.array_equal(sealer.unseal(blob), arr)
+
+
+@pytest.mark.parametrize("part", ["data", "tag", "aad"])
+def test_tampered_blob_fails_authentication(part, sealer, nprng):
+    blob = sealer.seal(nprng.normal(size=(4, 7)), label=b"gradients")
+    ct = blob.ciphertext
+    if part == "aad":
+        bad = dataclasses.replace(ct, aad=b"weights")
+    else:
+        value = getattr(ct, part)
+        bad = dataclasses.replace(ct, **{part: bytes([value[0] ^ 0x01]) + value[1:]})
+    with pytest.raises(SealingError) as excinfo:
+        sealer.unseal(dataclasses.replace(blob, ciphertext=bad))
+    assert isinstance(excinfo.value.__cause__, CommunicationError)
+
+
+def test_unsealed_array_is_writable(sealer, nprng):
+    arr = nprng.normal(size=(5,))
+    out = sealer.unseal(sealer.seal(arr))
+    out += 1.0
+    assert np.array_equal(out, arr + 1.0)
 
 
 def test_wrong_enclave_cannot_unseal(sealer, nprng):

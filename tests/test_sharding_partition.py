@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.sharding.partition as partition
 from repro.comm import LinkModel
 from repro.comm.secure_channel import SecureChannel
 from repro.errors import (
@@ -167,6 +168,36 @@ def test_tampered_envelope_is_rejected():
     bad = dataclasses.replace(sealed, envelopes=((step, bad_env),))
     with pytest.raises(CommunicationError):
         open_activations(rx, bad)
+
+
+def _flip(blob):
+    return bytes([blob[0] ^ 0x01]) + blob[1:]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda ct: dataclasses.replace(ct, data=_flip(ct.data)),
+        lambda ct: dataclasses.replace(ct, tag=_flip(ct.tag)),
+        lambda ct: dataclasses.replace(ct, aad=b"shard0"),
+    ],
+    ids=["data", "tag", "aad"],
+)
+def test_tampered_layered_hop_kills_the_window(tamper, monkeypatch):
+    """A relay flipping a hop's ciphertext, tag or aad is caught on open."""
+    seal = partition.seal_activations
+
+    def tampering_relay(channel, values):
+        sealed = seal(channel, values)
+        (step, env), *rest = sealed.envelopes
+        bad = dataclasses.replace(env, ciphertext=tamper(env.ciphertext))
+        return dataclasses.replace(sealed, envelopes=((step, bad), *rest))
+
+    monkeypatch.setattr(partition, "seal_activations", tampering_relay)
+    group, _ = _group(_resnet(), _cfg(), 2)
+    x = np.random.default_rng(4).standard_normal((K, 3, 8, 8))
+    with pytest.raises(CommunicationError):
+        group.run_window([(x, 0.0)])
 
 
 # ----------------------------------------------------------------------
